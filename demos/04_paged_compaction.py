@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""Head-wise compaction inside a paged KV pool.
+"""Head-wise compaction inside a full paged KV pool.
 
-Two heads keep different positions. Compaction copies each head's survivors
-into freshly allocated blocks at shared destination slots, swaps the block
-table, and frees the old blocks; afterwards the ordinary (table, position)
-read path serves both heads with no per-head indirection.
+Two heads keep different positions. Compaction copies each head's survivors,
+in ascending order, into the request's own leading blocks and frees the tail
+blocks, so it needs no free block and works with the pool 100% occupied.
+Afterwards the ordinary (table, position) read path serves both heads with
+no per-head indirection.
 """
 
 import numpy as np
 
-from masskv.paged import BlockPool, PagedRequest, compact, plan_compaction, verify_compaction
-from masskv.paged import BlockTable
+from masskv.paged import BlockPool, PagedRequest, compact, verify_compaction
 
 rng = np.random.default_rng(3)
-pool = BlockPool(num_blocks=10, block_size=4, kv_heads=2, head_dim=4)
+pool = BlockPool(num_blocks=4, block_size=4, kv_heads=2, head_dim=4)
 req = PagedRequest(pool)
 for _ in range(14):
     req.append(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
@@ -29,12 +29,14 @@ keep = np.array([
 print(f"head 0 keeps {keep[0].tolist()}")
 print(f"head 1 keeps {keep[1].tolist()}")
 
-old_table = BlockTable(pool.block_size, req.table.blocks, req.table.logical_len)
+old_blocks = list(req.table.blocks)
+src = req.table.slots(keep)
 req.table = compact(pool, req.table, keep)
-mapping = plan_compaction(old_table, req.table, keep)
-print(f"copy plan: src slots per head {mapping.src.tolist()} -> dst {mapping.dst.tolist()}")
-print(f"compacted into blocks {req.table.blocks}; old blocks {old_table.blocks} "
-      f"returned ({pool.num_free} free)")
+dst = req.table.slots(np.arange(keep.shape[1]))
+for h in range(2):
+    print(f"head {h} copies slots {src[h].tolist()} -> {dst.tolist()}")
+print(f"compacted in place into blocks {req.table.blocks}; tail blocks "
+      f"{old_blocks[len(req.table.blocks):]} returned ({pool.num_free} free)")
 print(f"decode position is still {req.decode_pos}: the next token continues "
       "from its original logical position")
 

@@ -3,7 +3,6 @@ structural retention diagnostics, all runnable at desk scale on synthetic
 attention workloads."""
 
 from masskv.core import (
-    CacheShape,
     CompressionConfig,
     ConfigError,
     ContractViolation,
@@ -45,7 +44,7 @@ from masskv.selector import (
     select,
 )
 from masskv.engine import POLICIES, compress_event
-from masskv.paged import BlockPool, BlockTable, SlotMapping, compact, verify_compaction
+from masskv.paged import BlockPool, BlockTable, compact, verify_compaction
 from masskv.sim import RunTrace, ToyDecoder, WorkloadSpec, run_schedule
 from masskv.diagnostics import (
     metric_retained_iou,

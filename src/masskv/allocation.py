@@ -25,17 +25,11 @@ class MustKeepSet:
     def __init__(self, sinks: np.ndarray, recent: np.ndarray):
         self.sinks = np.asarray(sinks, dtype=np.int64)
         self.recent = np.asarray(recent, dtype=np.int64)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.union1d(self.sinks, self.recent)
+        self.indices = np.union1d(self.sinks, self.recent)
 
     @property
     def size(self) -> int:
         return self.indices.size
-
-    def __contains__(self, idx: int) -> bool:
-        return bool(np.isin(idx, self.indices))
 
 
 def must_keep(total: int, cfg: CompressionConfig) -> MustKeepSet:

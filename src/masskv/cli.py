@@ -12,6 +12,7 @@ Precedence for settings: built-in defaults < --config file < command flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,10 @@ from masskv.engine import POLICIES
 from masskv.paged import run_equivalence_fuzz
 from masskv.scorers import SCORERS
 from masskv.sim import WORKLOADS, WorkloadSpec, run_schedule, write_trace_csv, write_trace_json
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -43,6 +48,15 @@ class PlanEntry:
             raise ConfigError(f"plan entry {self.name!r}: unknown scorer {self.scorer!r}")
         if self.workload not in WORKLOADS:
             raise ConfigError(f"plan entry {self.name!r}: unknown workload {self.workload!r}")
+        if not _is_int(self.steps):
+            raise ConfigError(f"plan entry {self.name!r}: steps must be an integer")
+        if not (isinstance(self.seeds, list) and all(_is_int(s) for s in self.seeds)):
+            raise ConfigError(f"plan entry {self.name!r}: seeds must be a list of integers")
+        if not isinstance(self.config, dict):
+            raise ConfigError(f"plan entry {self.name!r}: config must be an object")
+        unknown = set(self.config) - {f.name for f in dataclasses.fields(CompressionConfig)}
+        if unknown:
+            raise ConfigError(f"plan entry {self.name!r}: unknown config keys {sorted(unknown)}")
 
 
 @dataclass
@@ -62,8 +76,15 @@ def load_plan(path, out_dir=None) -> ExperimentPlan:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"plan {path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"plan {path}: top level must be a JSON object")
+    items = raw.get("entries", [])
+    if not isinstance(items, list):
+        raise ConfigError(f"plan {path}: entries must be a list")
     entries = []
-    for i, item in enumerate(raw.get("entries", [])):
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ConfigError(f"plan entry {i}: must be a JSON object")
         known = {
             "name", "policy", "scorer", "workload", "workload_params",
             "steps", "seeds", "config",
@@ -79,33 +100,36 @@ def load_plan(path, out_dir=None) -> ExperimentPlan:
     return ExperimentPlan(entries=entries, out_dir=out)
 
 
-def _run_one(entry: PlanEntry, seed: int, base_cfg: CompressionConfig, out_dir: str) -> str:
-    cfg = base_cfg.replace(**entry.config)
-    cfg.require_t_keep()
-    spec = WorkloadSpec(
-        name=entry.workload, steps=entry.steps, seed=seed, params=entry.workload_params
-    )
+def _run_one(entry: PlanEntry, spec: WorkloadSpec, cfg: CompressionConfig, out_dir: str) -> str:
     trace = run_schedule(spec, entry.policy, cfg, scorer=entry.scorer)
-    stem = Path(out_dir) / f"{entry.name}_seed{seed}"
+    stem = Path(out_dir) / f"{entry.name}_seed{spec.seed}"
     write_trace_json(trace, stem.with_suffix(".json"))
     write_trace_csv(trace, stem.with_suffix(".csv"))
     return str(stem)
 
 
 def cmd_run(plan: ExperimentPlan, base_cfg: CompressionConfig, jobs: int = 1) -> int:
+    # every entry's config and workload is checked before the first run starts
+    tasks = []
+    for entry in plan.entries:
+        cfg = base_cfg.replace(**entry.config)
+        cfg.require_t_keep()
+        tasks += [
+            (entry, WorkloadSpec(entry.workload, entry.steps, seed, entry.workload_params), cfg)
+            for seed in entry.seeds
+        ]
     plan.out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(entry, seed) for entry in plan.entries for seed in entry.seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_one, entry, seed, base_cfg, str(plan.out_dir))
-                for entry, seed in tasks
+                pool.submit(_run_one, entry, spec, cfg, str(plan.out_dir))
+                for entry, spec, cfg in tasks
             ]
             for fut in futures:
                 fut.result()
     else:
-        for entry, seed in tasks:
-            _run_one(entry, seed, base_cfg, str(plan.out_dir))
+        for entry, spec, cfg in tasks:
+            _run_one(entry, spec, cfg, str(plan.out_dir))
     return 0
 
 

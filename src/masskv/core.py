@@ -1,4 +1,4 @@
-"""Shared shapes, compression configuration, and the token-identity ledger.
+"""Compression configuration and the token-identity ledger.
 
 The ledger maps cache positions back to the global ids tokens were born with,
 which is what lets the diagnostics compare retained sets across repeated
@@ -19,21 +19,6 @@ class ConfigError(ValueError):
 
 class ContractViolation(ValueError):
     """An operation was called with arguments violating its precondition."""
-
-
-@dataclass(frozen=True)
-class CacheShape:
-    """Dimensions of a KV cache tensor [batch, kv_heads, seq_len, head_dim]."""
-
-    batch: int
-    kv_heads: int
-    seq_len: int
-    head_dim: int
-
-    def __post_init__(self):
-        for name in ("batch", "kv_heads", "seq_len", "head_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"CacheShape.{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -172,7 +157,7 @@ def save_config(cfg: CompressionConfig, path) -> None:
 
 
 class TokenLedger:
-    """Per-(batch, head) map from cache position to original global token id.
+    """Per-head map from cache position to original global token id, [heads, T].
 
     Ids are 0-based, assigned in generation order, and strictly increasing
     along the cache axis. Kept per head because keep sets are head-wise.
@@ -180,8 +165,8 @@ class TokenLedger:
 
     def __init__(self, ids: np.ndarray, next_id: int):
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 3:
-            raise ContractViolation(f"ledger ids must be [batch, heads, T], got shape {ids.shape}")
+        if ids.ndim != 2:
+            raise ContractViolation(f"ledger ids must be [heads, T], got shape {ids.shape}")
         if ids.shape[-1] > 0:
             if ids.max() >= next_id:
                 raise ContractViolation("next_id must exceed every ledger id")
@@ -191,36 +176,32 @@ class TokenLedger:
         self.next_id = int(next_id)
 
     @classmethod
-    def fresh(cls, batch: int, heads: int, length: int) -> "TokenLedger":
-        ids = np.broadcast_to(np.arange(length, dtype=np.int64), (batch, heads, length)).copy()
+    def fresh(cls, heads: int, length: int) -> "TokenLedger":
+        ids = np.broadcast_to(np.arange(length, dtype=np.int64), (heads, length)).copy()
         return cls(ids, next_id=length)
 
     @property
     def length(self) -> int:
         return self.ids.shape[-1]
 
-    def head_ids(self, b: int, h: int) -> np.ndarray:
-        return self.ids[b, h]
 
+def advance_ledger(ledger: TokenLedger, new_tokens: int, keep: np.ndarray) -> TokenLedger:
+    """Append ids for ``new_tokens`` fresh tokens, then gather by per-head keep.
 
-def advance_ledger(ledger: TokenLedger, keep: np.ndarray, new_tokens: int) -> TokenLedger:
-    """Gather the ledger by per-head keep indices and append fresh ids.
-
-    ``keep`` has shape [batch, heads, k]; appended ids continue the global
-    counter, identically across heads (all heads see the same token stream).
+    Appended ids continue the global counter, identically across heads (all
+    heads see the same token stream). ``keep`` has shape [heads, k] and
+    indexes the extended ledger.
     """
     keep = np.asarray(keep, dtype=np.int64)
-    if keep.ndim != 3 or keep.shape[:2] != ledger.ids.shape[:2]:
+    heads = ledger.ids.shape[0]
+    if keep.ndim != 2 or keep.shape[0] != heads:
         raise ContractViolation(
             f"keep shape {keep.shape} incompatible with ledger {ledger.ids.shape}"
         )
     if new_tokens < 0:
         raise ContractViolation("new_tokens must be >= 0")
-    if keep.size and (keep.min() < 0 or keep.max() >= ledger.length):
+    if keep.size and (keep.min() < 0 or keep.max() >= ledger.length + new_tokens):
         raise ContractViolation("keep index out of range for ledger")
-    gathered = np.take_along_axis(ledger.ids, keep, axis=-1)
-    if new_tokens:
-        fresh = ledger.next_id + np.arange(new_tokens, dtype=np.int64)
-        fresh = np.broadcast_to(fresh, gathered.shape[:2] + (new_tokens,))
-        gathered = np.concatenate([gathered, fresh], axis=-1)
-    return TokenLedger(gathered, next_id=ledger.next_id + new_tokens)
+    fresh = ledger.next_id + np.arange(new_tokens, dtype=np.int64)
+    ids = np.concatenate([ledger.ids, np.broadcast_to(fresh, (heads, new_tokens))], axis=-1)
+    return TokenLedger(np.take_along_axis(ids, keep, axis=-1), next_id=ledger.next_id + new_tokens)

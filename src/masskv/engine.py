@@ -31,7 +31,7 @@ DEFAULT_CHUNK_LEN = 20
 
 @dataclass
 class HeadSelection:
-    """Outcome of one compression event for a single (batch, head)."""
+    """Outcome of one compression event for a single head."""
 
     keep: np.ndarray
     segments: SegmentSet | None = None

@@ -1,19 +1,19 @@
 """Self-contained paged KV store with head-wise compaction.
 
 Logical position p of a request maps to physical slot
-``table[p // block_size] * block_size + p % block_size``. Compaction plans a
-full slot mapping (per-head sources, shared destinations) into freshly
-allocated blocks, copies, swaps the block-table row, then frees the old
-blocks, so sources and destinations never alias and the steady-state read
-path keeps using the plain (table, position) lookup with no per-head
-indirection.
+``table[p // block_size] * block_size + p % block_size``. Compaction works in
+place: each head's survivors are copied, in ascending order, into the
+request's own leading ceil(k / block_size) blocks, and only the tail blocks
+are freed. Keep sets are strictly increasing per head, so keep[h, t] >= t and
+no source is overwritten before it is read. Compaction therefore never
+allocates and succeeds on a full pool, and the steady-state read path keeps
+using the plain (table, position) lookup with no per-head indirection.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ class BlockPool:
         self.values = np.zeros((n_slots, kv_heads, head_dim), dtype=np.float64)
         self._free = list(range(num_blocks))
         heapq.heapify(self._free)
+        self._is_free = [True] * num_blocks
 
     @property
     def num_free(self) -> int:
@@ -50,14 +51,22 @@ class BlockPool:
         """Take n blocks (lowest ids first); atomic, with no effects on failure."""
         if n > len(self._free):
             raise AllocationError(f"need {n} blocks, only {len(self._free)} free")
-        return [heapq.heappop(self._free) for _ in range(n)]
+        blocks = [heapq.heappop(self._free) for _ in range(n)]
+        for b in blocks:
+            self._is_free[b] = False
+        return blocks
 
     def free(self, blocks: list[int]) -> None:
+        """Return blocks to the pool; atomic, with no effects on a bad list."""
+        seen = set()
         for b in blocks:
             if b < 0 or b >= self.num_blocks:
                 raise ContractViolation(f"block id {b} out of range")
-            if b in self._free:
+            if b in seen or self._is_free[b]:
                 raise ContractViolation(f"double free of block {b}")
+            seen.add(b)
+        for b in blocks:
+            self._is_free[b] = True
             heapq.heappush(self._free, b)
 
 
@@ -71,34 +80,12 @@ class BlockTable:
         if logical_len > len(self.blocks) * block_size:
             raise ContractViolation("logical length exceeds table capacity")
 
-    def resolve_slot(self, p: int) -> int:
-        if p < 0 or p >= self.logical_len:
-            raise ContractViolation(f"logical position {p} out of range [0, {self.logical_len})")
-        return self.blocks[p // self.block_size] * self.block_size + p % self.block_size
-
     def slots(self, positions: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size and (positions.min() < 0 or positions.max() >= self.logical_len):
             raise ContractViolation("logical position out of range")
         table = np.asarray(self.blocks, dtype=np.int64)
         return table[positions // self.block_size] * self.block_size + positions % self.block_size
-
-
-def resolve_slot(table: BlockTable, p: int) -> int:
-    """Physical slot of logical position p under the table's mapping."""
-    return table.resolve_slot(p)
-
-
-@dataclass
-class SlotMapping:
-    """Materialized copy plan: src[h, t] -> dst[t] for every compact position."""
-
-    src: np.ndarray  # [heads, k] physical slots under the old table
-    dst: np.ndarray  # [k] physical slots under the new table
-
-    def __post_init__(self):
-        if self.dst.size != np.unique(self.dst).size:
-            raise ContractViolation("destination slots must be pairwise distinct")
 
 
 class PagedRequest:
@@ -134,22 +121,14 @@ class PagedRequest:
         )
 
 
-def plan_compaction(old_table: BlockTable, new_table: BlockTable, keep: np.ndarray) -> SlotMapping:
-    """Resolve per-head source slots and shared destination slots for a copy."""
-    keep = np.asarray(keep, dtype=np.int64)
-    if keep.ndim != 2:
-        raise ContractViolation("keep must be [heads, k]")
-    src = np.stack([old_table.slots(keep[h]) for h in range(keep.shape[0])])
-    dst = new_table.slots(np.arange(keep.shape[1]))
-    return SlotMapping(src=src, dst=dst)
-
-
 def compact(pool: BlockPool, table: BlockTable, keep: np.ndarray) -> BlockTable:
-    """Materialize head-wise keep sets into compact replacement blocks.
+    """Compact head-wise keep sets in place and return the shortened table.
 
-    For each head h and compact position t, the KV rows at the old slot of
-    keep[h, t] are copied to the new slot of t. Old blocks are freed only
-    after the copy; on allocation failure the old table is untouched.
+    For each head h and compact position t, the KV rows at the slot of
+    keep[h, t] are copied to the slot of t in the request's own leading
+    ceil(k / block_size) blocks; the tail blocks are then freed. Compaction
+    never allocates. Every check runs before the first write, so a rejected
+    keep set leaves the table and the pool untouched.
     """
     keep = np.asarray(keep, dtype=np.int64)
     if keep.ndim != 2 or keep.shape[0] != pool.kv_heads:
@@ -159,15 +138,16 @@ def compact(pool: BlockPool, table: BlockTable, keep: np.ndarray) -> BlockTable:
         raise ContractViolation("cannot compact to an empty cache")
     if keep.min() < 0 or keep.max() >= table.logical_len:
         raise ContractViolation("keep position out of range for the old table")
-    bs = table.block_size
-    n_new = -(-k // bs)
-    new_blocks = pool.allocate(n_new)
-    new_table = BlockTable(bs, new_blocks, logical_len=k)
-    mapping = plan_compaction(table, new_table, keep)
-    for h in range(pool.kv_heads):
-        pool.keys[mapping.dst, h, :] = pool.keys[mapping.src[h], h, :]
-        pool.values[mapping.dst, h, :] = pool.values[mapping.src[h], h, :]
-    pool.free(table.blocks)
+    if not (np.diff(keep, axis=1) > 0).all():
+        raise ContractViolation("keep positions must be strictly increasing per head")
+    n_keep = -(-k // table.block_size)
+    new_table = BlockTable(table.block_size, table.blocks[:n_keep], logical_len=k)
+    src = table.slots(keep).T  # [k, heads]
+    dst = new_table.slots(np.arange(k))[:, None]
+    heads = np.arange(pool.kv_heads)
+    pool.keys[dst, heads] = pool.keys[src, heads]
+    pool.values[dst, heads] = pool.values[src, heads]
+    pool.free(table.blocks[n_keep:])
     return new_table
 
 
@@ -233,8 +213,8 @@ def run_equivalence_fuzz(n_cases: int, seed: int, corrupt: bool = False) -> tupl
         block_size = int(rng.integers(1, 9))
         total = int(rng.integers(1, 49))
         keep_n = int(rng.integers(1, total + 1))
-        blocks_needed = -(-total // block_size) + -(-keep_n // block_size)
-        pool = BlockPool(blocks_needed + int(rng.integers(0, 3)), block_size, heads, dim)
+        # the cache's own blocks plus 0-2 spare, so about a third of the pools are full
+        pool = BlockPool(-(-total // block_size) + int(rng.integers(0, 3)), block_size, heads, dim)
         req = PagedRequest(pool)
         for _ in range(total):
             req.append(rng.normal(size=(heads, dim)), rng.normal(size=(heads, dim)))
@@ -249,7 +229,7 @@ def run_equivalence_fuzz(n_cases: int, seed: int, corrupt: bool = False) -> tupl
             failed += 1
             continue
         if corrupt:
-            slot = new_table.resolve_slot(int(rng.integers(0, keep_n)))
+            slot = new_table.slots(int(rng.integers(0, keep_n)))
             pool.keys[slot, 0, 0] += 1.0
         gathered_k = np.stack([dense_k[h, keep[h]] for h in range(heads)])
         gathered_v = np.stack([dense_v[h, keep[h]] for h in range(heads)])

@@ -13,7 +13,9 @@ from masskv.core import CompressionConfig, ConfigError, ContractViolation
 from masskv.mass import UsageWindow, aggregate_usage
 
 
-def score_recent_attention(window: UsageWindow) -> np.ndarray:
+def score_recent_attention(
+    window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig
+) -> np.ndarray:
     """Attention paid to each position by the single most recent query.
 
     Suffix positions that query never saw get the row's max over what it did
@@ -29,18 +31,22 @@ def score_recent_attention(window: UsageWindow) -> np.ndarray:
     return g
 
 
-def score_expected_attention_proxy(window: UsageWindow, max_rows: int) -> np.ndarray:
+def score_expected_attention_proxy(
+    window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig
+) -> np.ndarray:
     """Mean attention over the recent-query window with causal max-padding.
 
     Stands in for expectation-based scorers; shares its machinery with the
     usage aggregation that feeds the mass distribution.
     """
-    return aggregate_usage(window, max_rows)
+    return aggregate_usage(window, cfg.window)
 
 
-def score_key_diff(keys: np.ndarray) -> np.ndarray:
+def score_key_diff(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig) -> np.ndarray:
     """L2 difference between consecutive key vectors; the first position
     copies its neighbor so sinks are neither favored nor punished here."""
+    if keys is None:
+        raise ContractViolation("keydiff scorer needs key vectors")
     keys = np.asarray(keys, dtype=np.float64)
     if keys.ndim != 2 or keys.shape[0] < 1:
         raise ContractViolation(f"keys must be [T, D] with T >= 1, got {keys.shape}")
@@ -53,9 +59,18 @@ def score_key_diff(keys: np.ndarray) -> np.ndarray:
     return g
 
 
-def score_constant(total: int, value: float) -> np.ndarray:
-    """Flat scores; useful as a tie-break and plumbing fixture."""
-    return np.full(total, float(value), dtype=np.float64)
+def score_constant(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig) -> np.ndarray:
+    """Flat scores of 1.0; useful as a tie-break and plumbing fixture."""
+    total = window.cache_len if window is not None else keys.shape[0]
+    return np.ones(total, dtype=np.float64)
+
+
+SCORERS = {
+    "recent": score_recent_attention,
+    "expected": score_expected_attention_proxy,
+    "keydiff": score_key_diff,
+    "constant": score_constant,
+}
 
 
 def get_scorer(name: str):
@@ -63,30 +78,3 @@ def get_scorer(name: str):
     if name not in SCORERS:
         raise ConfigError(f"unknown scorer {name!r}; choose from {sorted(SCORERS)}")
     return SCORERS[name]
-
-
-def _recent(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig) -> np.ndarray:
-    return score_recent_attention(window)
-
-
-def _expected(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig) -> np.ndarray:
-    return score_expected_attention_proxy(window, cfg.window)
-
-
-def _keydiff(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig) -> np.ndarray:
-    if keys is None:
-        raise ContractViolation("keydiff scorer needs key vectors")
-    return score_key_diff(keys)
-
-
-def _constant(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig) -> np.ndarray:
-    total = window.cache_len if window is not None else keys.shape[0]
-    return score_constant(total, 1.0)
-
-
-SCORERS = {
-    "recent": _recent,
-    "expected": _expected,
-    "keydiff": _keydiff,
-    "constant": _constant,
-}

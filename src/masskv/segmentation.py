@@ -16,11 +16,10 @@ class SegmentSet:
     """Non-overlapping half-open intervals tiling [0, T).
 
     Stored as a boundary array ``b`` with b[0]=0, b[-1]=T, strictly
-    increasing; segment i is [b[i], b[i+1]). The prefix-sum curve used to
-    build the set is kept for diagnostics when available.
+    increasing; segment i is [b[i], b[i+1]).
     """
 
-    def __init__(self, boundaries: np.ndarray, prefix: np.ndarray | None = None):
+    def __init__(self, boundaries: np.ndarray):
         boundaries = np.asarray(boundaries, dtype=np.int64)
         if boundaries.ndim != 1 or boundaries.size < 2:
             raise ContractViolation("need at least [0, T] as boundaries")
@@ -29,7 +28,6 @@ class SegmentSet:
         if not (np.diff(boundaries) > 0).all():
             raise ContractViolation("boundaries must be strictly increasing")
         self.boundaries = boundaries
-        self.prefix = prefix
 
     @classmethod
     def single(cls, total: int) -> "SegmentSet":
@@ -89,9 +87,9 @@ def cut_points(m: np.ndarray, delta: float) -> np.ndarray:
     return np.unique(cuts)
 
 
-def _from_cuts(cuts: np.ndarray, total: int, prefix=None) -> SegmentSet:
+def _from_cuts(cuts: np.ndarray, total: int) -> SegmentSet:
     boundaries = np.unique(np.concatenate([[0], cuts, [total]]))
-    return SegmentSet(boundaries.astype(np.int64), prefix=prefix)
+    return SegmentSet(boundaries.astype(np.int64))
 
 
 def split_long(segs: SegmentSet, max_len: int) -> SegmentSet:
@@ -110,7 +108,7 @@ def split_long(segs: SegmentSet, max_len: int) -> SegmentSet:
         for i in range(parts):
             pos += base + (1 if i < rem else 0)
             out.append(pos)
-    return SegmentSet(np.array(out, dtype=np.int64), prefix=segs.prefix)
+    return SegmentSet(np.array(out, dtype=np.int64))
 
 
 def merge_short(segs: SegmentSet, min_len: int) -> SegmentSet:
@@ -133,7 +131,7 @@ def merge_short(segs: SegmentSet, min_len: int) -> SegmentSet:
             ends[-1] = total
         else:
             ends.append(total)
-    return SegmentSet(np.array([0] + ends, dtype=np.int64), prefix=segs.prefix)
+    return SegmentSet(np.array([0] + ends, dtype=np.int64))
 
 
 def fixed_length_segments(total: int, length: int) -> SegmentSet:
@@ -154,6 +152,6 @@ def segment(m: np.ndarray, cfg: CompressionConfig) -> SegmentSet:
     if cfg.fixed_length_segments_on:
         return fixed_length_segments(m.size, cfg.max_seg_len)
     cuts = cut_points(m, cfg.segment_mass)
-    segs = _from_cuts(cuts, m.size, prefix=np.cumsum(m))
+    segs = _from_cuts(cuts, m.size)
     segs = split_long(segs, cfg.max_seg_len)
     return merge_short(segs, cfg.min_seg_len)

@@ -205,7 +205,7 @@ def run_schedule(
     keys = np.zeros((heads, capacity, dim))
     values = np.zeros((heads, capacity, dim))
     t_cur = 0
-    ledger = TokenLedger.fresh(1, heads, 0)
+    ledger = TokenLedger.fresh(heads, 0)
     pending = 0
     credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, enabled=cfg.ema_on)
     window_rows: list[np.ndarray] = []
@@ -241,12 +241,6 @@ def run_schedule(
             continue
 
         t0 = time.perf_counter()
-        ledger = advance_ledger(
-            ledger,
-            np.broadcast_to(np.arange(ledger.length), (1, heads, ledger.length)),
-            pending,
-        )
-        pending = 0
         windows = []
         w = len(window_rows)
         for h in range(heads):
@@ -260,7 +254,8 @@ def run_schedule(
             policy, windows, head_keys, cfg, scorer=scorer, credit=credit, counters=counters
         )
         keep = np.stack([sel.keep for sel in sels])
-        kept_ids = np.stack([ledger.head_ids(0, h)[keep[h]] for h in range(heads)])
+        ledger = advance_ledger(ledger, pending, keep)
+        pending = 0
         is_ams = sels[0].segments is not None
         trace.events.append(
             EventRecord(
@@ -268,7 +263,7 @@ def run_schedule(
                 step=s + 1,
                 cache_len=t_cur,
                 keep_positions=keep,
-                kept_ids=kept_ids,
+                kept_ids=ledger.ids,
                 id_watermark=ledger.next_id,
                 segments=[sel.segments.boundaries.tolist() for sel in sels] if is_ams else None,
                 quotas=[sel.quotas.tolist() for sel in sels] if is_ams else None,
@@ -281,7 +276,6 @@ def run_schedule(
         kept = keep.shape[1]
         keys[:, :kept] = new_k
         values[:, :kept] = new_v
-        ledger = advance_ledger(ledger, keep[None, ...], 0)
         if cfg.ema_on and policy == "ams":
             for h in range(heads):
                 credit.remap(0, h, keep[h], kept)
@@ -304,10 +298,6 @@ def _summarize(trace: RunTrace) -> None:
             diagnostics.metric_spatial_histogram(trace).tolist() if trace.events else None
         ),
     }
-
-
-def _config_dict(cfg: CompressionConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 def trace_to_dict(trace: RunTrace, include_timing: bool = False) -> dict:
@@ -340,7 +330,7 @@ def trace_to_dict(trace: RunTrace, include_timing: bool = False) -> dict:
         "steps": trace.steps,
         "kv_heads": trace.kv_heads,
         "head_dim": trace.head_dim,
-        "config": _config_dict(trace.config),
+        "config": dataclasses.asdict(trace.config),
         "events": events,
         "summaries": trace.summaries,
     }

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masskv.allocation import (
-    MustKeepSet,
     apportion_with_caps,
     compute_quotas,
     largest_remainder,
@@ -168,8 +167,3 @@ def test_quota_exact_sum_and_bounds(data):
     floors = np.minimum(cfg.min_quota, lengths)
     if t_rem >= floors.sum():
         assert (qv.quotas >= floors).all()
-
-
-def test_must_keep_set_contains():
-    mk = MustKeepSet(np.array([0, 1]), np.array([9]))
-    assert 0 in mk and 9 in mk and 5 not in mk

@@ -160,3 +160,31 @@ def test_cmd_run_library_parity(tmp_path):
     cfg = default_config().replace(t_keep=32, interval=64)
     trace = run_schedule(WorkloadSpec("uniform", steps=128, seed=5), "global_topk", cfg)
     assert via_cli == json.loads(json.dumps(trace_to_dict(trace)))
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        [{"name": "x", "policy": "ams"}],  # top level is not an object
+        {"entries": [{"name": "x", "policy": "ams", "config": {"t_kep": 32}}]},
+        {"entries": [{"name": "x", "policy": "ams", "steps": "128"}]},
+        {"entries": [{"name": "x", "policy": "ams", "seeds": [0, "1"]}]},
+        {"entries": 5},
+        {"entries": [5]},
+        {"entries": [{"name": "x", "policy": "ams", "config": [1]}]},
+        {"entries": [{"name": "x", "policy": "streaming"},
+                     {"name": "y", "policy": "ams", "config": {"segment_mass": 0.0}}]},
+        {"entries": [{"name": "x", "policy": "streaming"},
+                     {"name": "y", "policy": "ams", "steps": 0}]},
+    ],
+    ids=["not_an_object", "unknown_config_key", "non_integer_steps", "seeds_not_ints",
+         "entries_not_a_list", "entry_not_an_object", "config_not_an_object",
+         "later_entry_bad_config_value", "later_entry_zero_steps"],
+)
+def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
+    ppath = tmp_path / "plan.json"
+    ppath.write_text(json.dumps(plan))
+    rc = main(["run", "--plan", str(ppath), "--t-keep", "32", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masskv.core import (
-    CacheShape,
     CompressionConfig,
     ConfigError,
     ContractViolation,
@@ -90,39 +89,38 @@ def test_config_file_comments_and_overrides(tmp_path):
     assert cfg.window == 128  # untouched default
 
 
-def test_cache_shape_validation():
-    CacheShape(1, 2, 3, 4)
-    with pytest.raises(ConfigError):
-        CacheShape(0, 2, 3, 4)
-
-
 def _ledger1d(ids):
-    ids = np.asarray(ids, dtype=np.int64)[None, None, :]
+    ids = np.asarray(ids, dtype=np.int64)[None, :]
     return TokenLedger(ids, next_id=int(ids.max()) + 1 if ids.size else 0)
 
 
 def test_advance_ledger_examples():
-    led = advance_ledger(_ledger1d([0, 1, 2, 3]), np.array([[[0, 2]]]), 1)
-    assert led.ids[0, 0].tolist() == [0, 2, 4]
+    led = advance_ledger(_ledger1d([0, 1, 2, 3]), 1, np.array([[0, 2, 4]]))
+    assert led.ids[0].tolist() == [0, 2, 4]
 
-    led = advance_ledger(_ledger1d([5, 6, 7]), np.array([[[0, 1, 2]]]), 0)
-    assert led.ids[0, 0].tolist() == [5, 6, 7]
+    led = advance_ledger(_ledger1d([5, 6, 7]), 0, np.array([[0, 1, 2]]))
+    assert led.ids[0].tolist() == [5, 6, 7]
 
-    led = advance_ledger(_ledger1d(list(range(10))), np.array([[[0, 9]]]), 2)
-    assert led.ids[0, 0].tolist() == [0, 9, 10, 11]
+    led = advance_ledger(_ledger1d(list(range(10))), 2, np.array([[0, 9, 10, 11]]))
+    assert led.ids[0].tolist() == [0, 9, 10, 11]
+    assert led.next_id == 12
 
 
 def test_advance_ledger_out_of_range():
     with pytest.raises(ContractViolation):
-        advance_ledger(_ledger1d([0, 1]), np.array([[[0, 5]]]), 0)
+        advance_ledger(_ledger1d([0, 1]), 0, np.array([[0, 5]]))
+    with pytest.raises(ContractViolation):
+        advance_ledger(_ledger1d([0, 1]), 1, np.array([[0, 3]]))  # only 3 ids after append
+    with pytest.raises(ContractViolation):
+        advance_ledger(_ledger1d([0, 1]), 0, np.array([[[0, 1]]]))  # [heads, k] only
 
 
 def test_advance_ledger_per_head_keeps():
-    led = TokenLedger.fresh(1, 2, 4)
-    keep = np.array([[[0, 2], [1, 3]]])
-    led = advance_ledger(led, keep, 1)
-    assert led.ids[0, 0].tolist() == [0, 2, 4]
-    assert led.ids[0, 1].tolist() == [1, 3, 4]
+    led = TokenLedger.fresh(2, 4)
+    keep = np.array([[0, 2, 4], [1, 3, 4]])
+    led = advance_ledger(led, 1, keep)
+    assert led.ids[0].tolist() == [0, 2, 4]
+    assert led.ids[1].tolist() == [1, 3, 4]
     assert led.next_id == 5
 
 
@@ -130,16 +128,18 @@ def test_advance_ledger_per_head_keeps():
 @given(st.data())
 def test_advance_ledger_preserves_monotonicity(data):
     length = data.draw(st.integers(1, 40))
-    led = TokenLedger.fresh(1, 2, length)
+    led = TokenLedger.fresh(2, length)
     for _ in range(data.draw(st.integers(1, 4))):
-        k = data.draw(st.integers(1, led.length))
+        new = data.draw(st.integers(0, 5))
+        k = data.draw(st.integers(1, led.length + new))
         keeps = []
         for _ in range(2):
             idx = data.draw(
-                st.lists(st.integers(0, led.length - 1), min_size=k, max_size=k, unique=True)
+                st.lists(
+                    st.integers(0, led.length + new - 1), min_size=k, max_size=k, unique=True
+                )
             )
             keeps.append(sorted(idx))
-        new = data.draw(st.integers(0, 5))
-        led = advance_ledger(led, np.array([keeps]), new)
+        led = advance_ledger(led, new, np.array(keeps))
         assert (np.diff(led.ids, axis=-1) > 0).all()
         assert led.ids.max() < led.next_id

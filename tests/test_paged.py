@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import masskv.paged as paged
 from masskv.core import ContractViolation
 from masskv.paged import (
     AllocationError,
@@ -9,22 +10,22 @@ from masskv.paged import (
     PagedRequest,
     attention_readout,
     compact,
-    plan_compaction,
-    resolve_slot,
     run_equivalence_fuzz,
     verify_compaction,
 )
 
 
-def test_resolve_slot_examples():
+def test_slots_examples():
     table = BlockTable(16, [7, 3], logical_len=32)
-    assert resolve_slot(table, 20) == 3 * 16 + 4
-    assert resolve_slot(table, 0) == 7 * 16
+    assert table.slots(20) == 3 * 16 + 4
+    assert table.slots(0) == 7 * 16
     with pytest.raises(ContractViolation):
-        resolve_slot(table, 32)
+        table.slots(32)
+    with pytest.raises(ContractViolation):
+        table.slots(np.array([0, -1]))
 
     unit = BlockTable(1, [5, 9, 2], logical_len=3)
-    assert [resolve_slot(unit, p) for p in range(3)] == [5, 9, 2]
+    assert unit.slots(np.arange(3)).tolist() == [5, 9, 2]
 
 
 def _filled_request(pool, total, rng):
@@ -64,23 +65,45 @@ def test_compact_head_distinct_keeps():
 
 
 def test_compact_allocation_failure_is_atomic():
+    # compaction works in place: on a 100%-full pool it succeeds without
+    # allocating, keeps the leading blocks and frees exactly the tail
     rng = np.random.default_rng(2)
     pool = BlockPool(num_blocks=3, block_size=4, kv_heads=1, head_dim=2)
     req = _filled_request(pool, 12, rng)  # consumes all 3 blocks
+    dense_k, dense_v = req.dense_view()
     old_blocks = list(req.table.blocks)
-    keep = np.array([[0, 1, 2, 3, 4]])
-    with pytest.raises(AllocationError):
-        compact(pool, req.table, keep)
-    assert req.table.blocks == old_blocks
     assert pool.num_free == 0
 
-    # with exactly enough free blocks it succeeds
-    pool2 = BlockPool(num_blocks=5, block_size=4, kv_heads=1, head_dim=2)
-    req2 = _filled_request(pool2, 12, rng)
-    assert pool2.num_free == 2  # ceil(5/4) = 2 needed
-    table = compact(pool2, req2.table, keep)
+    def no_allocation(n):
+        raise AssertionError("compaction allocated blocks")
+
+    pool.allocate = no_allocation
+    keep = np.array([[0, 1, 2, 3, 11]])
+    table = compact(pool, req.table, keep)
     assert table.logical_len == 5
-    assert pool2.num_free + len(table.blocks) == pool2.num_blocks
+    assert table.blocks == old_blocks[:2]
+    assert pool.num_free == len(old_blocks) - 2  # ceil(5/4) = 2 blocks kept
+    assert verify_compaction(pool, table, dense_k[:, keep[0]], dense_v[:, keep[0]])
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [[[0, 1, 12]], [[-1, 1, 2]], [[3, 1, 2]], [[1, 1, 2]], [[0, 1], [0, 1]],
+     np.zeros((1, 0)), [0, 1, 2]],
+    ids=["out_of_range", "negative", "unsorted", "duplicate", "wrong_heads", "empty", "one_dim"],
+)
+def test_compact_rejects_bad_keep_before_any_write(keep):
+    rng = np.random.default_rng(9)
+    pool = BlockPool(num_blocks=3, block_size=4, kv_heads=1, head_dim=2)
+    req = _filled_request(pool, 10, rng)
+    blocks, free = list(req.table.blocks), pool.num_free
+    keys, values = pool.keys.copy(), pool.values.copy()
+    with pytest.raises(ContractViolation):
+        compact(pool, req.table, np.asarray(keep))
+    assert req.table.blocks == blocks and req.table.logical_len == 10
+    assert pool.num_free == free
+    np.testing.assert_array_equal(pool.keys, keys)
+    np.testing.assert_array_equal(pool.values, values)
 
 
 def test_compact_is_idempotent_under_identity_keep():
@@ -105,16 +128,6 @@ def test_decode_position_not_reset_by_compaction():
     assert req.table.logical_len == 3
 
 
-def test_slot_mapping_distinct_destinations():
-    rng = np.random.default_rng(5)
-    pool = BlockPool(num_blocks=8, block_size=4, kv_heads=2, head_dim=2)
-    req = _filled_request(pool, 10, rng)
-    new_table = BlockTable(4, pool.allocate(2), logical_len=6)
-    mapping = plan_compaction(req.table, new_table, np.tile(np.arange(6), (2, 1)))
-    assert np.unique(mapping.dst).size == 6
-    assert mapping.src.shape == (2, 6)
-
-
 def test_verify_compaction_detects_perturbation():
     rng = np.random.default_rng(6)
     pool = BlockPool(num_blocks=8, block_size=4, kv_heads=2, head_dim=3)
@@ -125,7 +138,7 @@ def test_verify_compaction_detects_perturbation():
     gk = np.stack([dense_k[h, keep[h]] for h in range(2)])
     gv = np.stack([dense_v[h, keep[h]] for h in range(2)])
     assert verify_compaction(pool, table, gk, gv)
-    slot = table.resolve_slot(3)
+    slot = table.slots(3)
     pool.keys[slot, 1, 0] += 1e-3
     assert not verify_compaction(pool, table, gk, gv)
     # shape mismatch reports False rather than raising
@@ -160,6 +173,21 @@ def test_double_free_rejected():
         pool.free([blocks[0]])
 
 
+@pytest.mark.parametrize("extra", [999, -1, "repeat", "free"])
+def test_free_is_atomic(extra):
+    pool = BlockPool(num_blocks=4, block_size=2, kv_heads=1, head_dim=2)
+    held = pool.allocate(3)
+    unheld = pool.allocate(1)
+    pool.free(unheld)
+    bad = {"repeat": held[0], "free": unheld[0]}.get(extra, extra)
+    with pytest.raises(ContractViolation):
+        pool.free([held[0], bad])
+    assert pool.num_free == 1
+    assert pool.allocate(1) == unheld  # the held blocks never reached the free list
+    pool.free(held + unheld)
+    assert pool.num_free == 4
+
+
 def test_attention_readout_matches_manual():
     rng = np.random.default_rng(8)
     k = rng.normal(size=(2, 5, 3))
@@ -178,6 +206,19 @@ def test_equivalence_fuzz_smoke():
     assert (passed, failed) == (60, 0)
     passed, failed = run_equivalence_fuzz(20, seed=1, corrupt=True)
     assert failed == 20
+
+
+def test_equivalence_fuzz_covers_full_pools(monkeypatch):
+    # the fuzz sizes each pool to the cache's own blocks plus 0-2 spare
+    full = []
+
+    def spy(pool, table, keep):
+        full.append(pool.num_free == 0)
+        return compact(pool, table, keep)
+
+    monkeypatch.setattr(paged, "compact", spy)
+    assert run_equivalence_fuzz(60, seed=0) == (60, 0)
+    assert 10 <= sum(full) <= 40
 
 
 def test_degenerate_single_token_cache():
