@@ -14,7 +14,6 @@ from masskv.core import (
 )
 from masskv.mass import (
     EmaCreditStore,
-    UsageWindow,
     aggregate_usage,
     normalize_mass,
     smooth,

@@ -8,6 +8,8 @@ compressions after positions have been reshuffled by gathers.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,9 @@ class CompressionConfig:
     fixed_length_segments_on: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not _has_type(getattr(self, f.name), f.type):
+                raise ConfigError(f"{f.name}={getattr(self, f.name)!r} is not a valid {f.type}")
         if not (0.0 < self.segment_mass <= 1.0):
             raise ConfigError(f"segment_mass must be in (0, 1], got {self.segment_mass}")
         if not (0.0 < self.ema_decay < 1.0):
@@ -85,6 +90,16 @@ class CompressionConfig:
         if self.t_keep < self.n_sink:
             raise ConfigError(f"t_keep {self.t_keep} is smaller than n_sink {self.n_sink}")
         return self.t_keep
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a config value fits its field's annotation: integers include
+    NumPy ones, floats are finite reals, and a bool fits only a bool field."""
+    if isinstance(value, bool) or annotation == "bool":
+        return isinstance(value, bool) and annotation == "bool"
+    if annotation == "float":
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, numbers.Integral) or (value is None and annotation == "int | None")
 
 
 def default_config() -> CompressionConfig:

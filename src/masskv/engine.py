@@ -1,9 +1,10 @@
 """Per-event policy application across heads.
 
-One compression event takes the per-head usage windows, keys, and scorer,
-and produces each head's keep set plus the allocation internals used by the
-diagnostics. Heads are independent; the loop here could fan out in parallel
-without sharing mutable state (the credit store is single-writer per head).
+One compression event takes every head's recent attention rows, keys, and a
+scorer, aggregates usage once for all heads, and produces each head's keep
+set plus the allocation internals used by the diagnostics. Heads are
+independent; the loop here could fan out in parallel without sharing mutable
+state (the credit store is single-writer per head).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from masskv.allocation import compute_quotas, must_keep, reconcile_budget
 from masskv.core import CompressionConfig, ConfigError
-from masskv.mass import EmaCreditStore, UsageWindow, aggregate_usage, normalize_mass, smooth
+from masskv.mass import EmaCreditStore, aggregate_usage, normalize_mass, smooth
 from masskv.scorers import get_scorer
 from masskv.segmentation import SegmentSet, segment
 from masskv.selector import (
@@ -54,21 +55,19 @@ class OpCounters:
 
 
 def ams_head_selection(
-    window: UsageWindow,
+    usage: np.ndarray,
     g: np.ndarray,
     cfg: CompressionConfig,
     credit: EmaCreditStore | None = None,
     layer: int = 0,
     head: int = 0,
-    counters: OpCounters | None = None,
 ) -> HeadSelection:
-    """Allocate-then-score selection for one head."""
+    """Allocate-then-score selection for one head from its aggregated usage."""
     t_keep = cfg.require_t_keep()
     total = g.size
     if total <= t_keep:
         return HeadSelection(keep=np.arange(total, dtype=np.int64))
-    u = aggregate_usage(window, cfg.window)
-    u = smooth(u, cfg.smooth_kernel)
+    u = smooth(usage, cfg.smooth_kernel)
     m = normalize_mass(u, cfg.epsilon)
     if credit is not None and cfg.ema_on:
         credit.grow_to(layer, head, total)
@@ -77,22 +76,13 @@ def ams_head_selection(
     must, t_rem = reconcile_budget(must_keep(total, cfg), t_keep)
     quotas = compute_quotas(segs, m, t_rem, cfg)
     keep = select(g, segs, quotas.quotas, must.indices, t_keep)
-    if counters is not None:
-        counters.cache_len += total
-        counters.usage_elems += window.w_valid * total
-        counters.smooth_elems += total
-        counters.prefix_elems += total
-        counters.cut_thresholds += int(np.floor(1.0 / cfg.segment_mass)) + 1
-        counters.segments += len(segs)
-        counters.quota_entries += len(segs)
-        counters.select_candidates += total
     return HeadSelection(keep=keep, segments=segs, quotas=quotas.quotas, mass=m)
 
 
 def compress_event(
     policy: str,
-    windows: list[UsageWindow],
-    keys: list[np.ndarray] | None,
+    rows: np.ndarray,
+    keys: np.ndarray | None,
     cfg: CompressionConfig,
     scorer: str = "expected",
     credit: EmaCreditStore | None = None,
@@ -102,26 +92,35 @@ def compress_event(
 ) -> list[HeadSelection]:
     """Apply a policy to every head of one layer at one compression event.
 
-    ``windows[h]`` is head h's usage window; ``keys[h]`` its [T, D] key rows
-    (may be None for scorers that do not need keys).
+    ``rows`` is [heads, w, T]: each head's attention rows of the last w
+    queries, ending at the cache tip (see ``aggregate_usage``). ``keys`` is
+    [heads, T, D], or None for scorers that do not need keys. Usage is
+    aggregated once for all heads; ``streaming`` never reads it.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
     t_keep = cfg.require_t_keep()
     score_fn = get_scorer(scorer)
+    heads, w, total = rows.shape
+    if policy == "streaming":
+        keep = baseline_streaming(total, cfg.n_sink, t_keep)
+        return [HeadSelection(keep=keep) for _ in range(heads)]
+    usage = aggregate_usage(rows, cfg.window)
     out = []
-    for h, window in enumerate(windows):
-        head_keys = keys[h] if keys is not None else None
-        total = window.cache_len
-        if policy == "streaming":
-            keep = baseline_streaming(total, cfg.n_sink, t_keep)
-            out.append(HeadSelection(keep=keep))
-            continue
-        g = score_fn(window, head_keys, cfg)
+    for h in range(heads):
+        g = score_fn(rows[h], usage[h], keys[h] if keys is not None else None)
         if policy == "ams":
-            out.append(
-                ams_head_selection(window, g, cfg, credit, layer, h, counters)
-            )
+            sel = ams_head_selection(usage[h], g, cfg, credit, layer, h)
+            if counters is not None and sel.segments is not None:
+                counters.cache_len += total
+                counters.usage_elems += w * total
+                counters.smooth_elems += total
+                counters.prefix_elems += total
+                counters.cut_thresholds += int(np.floor(1.0 / cfg.segment_mass)) + 1
+                counters.segments += len(sel.segments)
+                counters.quota_entries += len(sel.segments)
+                counters.select_candidates += total
+            out.append(sel)
             continue
         must, _ = reconcile_budget(must_keep(total, cfg), t_keep)
         if policy == "global_topk":

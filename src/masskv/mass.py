@@ -1,8 +1,9 @@
 """Quality-mass construction from recent attention usage.
 
-Usage rows from the last W decoding queries are averaged (with causal
-max-padding for suffix positions that fewer queries could see), optionally
-smoothed with a short 1D average pool, and normalized into a positive mass
+The attention rows of the last W decoding queries, one [W, T] block per head,
+are validated and averaged once per compression event for all heads (with
+causal max-padding for suffix positions that fewer queries could see), then
+smoothed with a short 1D average pool and normalized into a positive mass
 distribution over cache positions. An EMA credit store makes the mass
 history-aware across compression events.
 """
@@ -14,72 +15,49 @@ import numpy as np
 from masskv.core import ConfigError, ContractViolation
 
 
-class UsageWindow:
-    """Attention rows of the last ``w_valid`` decoding queries, shape [w, T].
-
-    Row j is the distribution one query placed over the cache; due to causal
-    masking row j only observed the first ``visible[j]`` positions. By default
-    rows are consecutive queries ending at the cache tip, so
-    ``visible[j] = T - w + 1 + j``. Entries beyond a row's visible prefix are
-    ignored.
-    """
-
-    def __init__(self, rows: np.ndarray, visible: np.ndarray | None = None):
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-            raise ContractViolation(f"usage rows must be [w, T] with w, T >= 1, got {rows.shape}")
-        w, t = rows.shape
-        if visible is None:
-            visible = t - w + 1 + np.arange(w, dtype=np.int64)
-            if visible[0] < 1:
-                raise ContractViolation(f"window of {w} rows needs a cache of length >= {w}")
-        else:
-            visible = np.asarray(visible, dtype=np.int64)
-            if visible.shape != (w,) or visible.min() < 1 or visible.max() > t:
-                raise ContractViolation("visible lengths must be in [1, T] per row")
-        col = np.arange(t)
-        mask = col[None, :] < visible[:, None]
-        seen = np.where(mask, rows, 0.0)
-        if (seen < 0).any():
-            raise ContractViolation("attention rows must be non-negative")
-        sums = seen.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=1e-6):
-            raise ContractViolation("each attention row must sum to 1 over its visible prefix")
-        self.rows = rows
-        self.visible = visible
-        self.mask = mask
-
-    @property
-    def w_valid(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def cache_len(self) -> int:
-        return self.rows.shape[1]
-
-    def tail(self, n_rows: int) -> "UsageWindow":
-        """The newest ``n_rows`` rows (all of them when n_rows >= w_valid)."""
-        if n_rows >= self.w_valid:
-            return self
-        return UsageWindow(self.rows[-n_rows:], self.visible[-n_rows:])
-
-
-def aggregate_usage(window: UsageWindow, max_rows: int) -> np.ndarray:
+def aggregate_usage(rows: np.ndarray, max_rows: int) -> np.ndarray:
     """Mean attention each position received from the newest ``max_rows`` queries.
 
-    Suffix positions seen by fewer queries have their missing observations
-    padded with the maximum score observed anywhere in the window, so newly
-    generated tokens are not underestimated.
+    ``rows`` is [..., w, T]: the attention rows of the last w decoding
+    queries, oldest first, for any leading axes (one per head, say), with
+    1 <= w <= T. The queries are consecutive and end at the cache tip, so
+    by causal masking row j saw only the first T - w + 1 + j positions;
+    entries past that prefix are ignored. Every row must be non-negative
+    and sum to 1 over its prefix; all w rows are checked, once, for every
+    leading index.
+
+    Positions seen by fewer queries have their missing observations padded
+    with the maximum score the aggregated rows observed, so newly generated
+    tokens are not underestimated. The padded rows are summed one by one,
+    oldest first, and divided by their count.
     """
-    if window is None:
-        raise ContractViolation("no usage evidence")
     if max_rows < 1:
         raise ConfigError("aggregation window must be >= 1 row")
-    win = window.tail(max_rows)
-    observed = win.rows[win.mask]
-    pad = observed.max()
-    padded = np.where(win.mask, win.rows, pad)
-    return padded.mean(axis=0)
+    rows = np.asarray(rows)
+    if rows.ndim < 2 or not 1 <= rows.shape[-2] <= rows.shape[-1]:
+        raise ContractViolation(f"rows must be [..., w, T] with 1 <= w <= T, got {rows.shape}")
+    w, t = rows.shape[-2:]
+    cut = t - w + 1  # columns [0, cut) were seen by every row
+    seen = np.tri(w, w - 1, -1, dtype=bool)  # row j saw column cut + c iff c < j
+    head = rows[..., :cut]
+    tri = np.where(seen, rows[..., cut:], 0.0)
+    if not (head.min(initial=0.0) >= 0.0 and tri.min(initial=0.0) >= 0.0):
+        raise ContractViolation("attention rows must be non-negative and not NaN")
+    sums = head.sum(axis=-1, dtype=np.float64) + tri.sum(axis=-1, dtype=np.float64)
+    if not np.allclose(sums, 1.0, atol=1e-6):
+        raise ContractViolation("each attention row must sum to 1 over its causal prefix")
+    n = min(w, max_rows)
+    pad = np.maximum(
+        head[..., w - n :, :].max(axis=(-2, -1), initial=0.0),
+        tri[..., w - n :, :].max(axis=(-2, -1), initial=0.0),
+    )[..., None]
+    total = np.zeros(rows.shape[:-2] + (t,))
+    # one row at a time: NumPy may sum a reduced axis pairwise, which would
+    # change the last bits of the mean
+    for j in range(w - n, w):
+        total[..., :cut] += head[..., j, :]
+        total[..., cut:] += np.where(seen[j], tri[..., j, :], pad)
+    return total / n
 
 
 def smooth(u: np.ndarray, kernel: int) -> np.ndarray:

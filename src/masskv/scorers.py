@@ -1,48 +1,36 @@
 """Plug-and-play token-importance scorers.
 
-Each scorer returns one real score per cache position (higher = keep). The
-selection stage only consumes the ordering, so any deterministic scorer can
-drive the pipeline.
+Each scorer takes one head's recent attention rows, the usage the engine
+aggregated from them once per event, and its keys, and returns one real score
+per cache position (higher = keep). The selection stage only consumes the
+ordering, so any deterministic scorer can drive the pipeline.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from masskv.core import CompressionConfig, ConfigError, ContractViolation
-from masskv.mass import UsageWindow, aggregate_usage
+from masskv.core import ConfigError, ContractViolation
 
 
-def score_recent_attention(
-    window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig
-) -> np.ndarray:
-    """Attention paid to each position by the single most recent query.
-
-    Suffix positions that query never saw get the row's max over what it did
-    see, mirroring the usage padding rule.
-    """
-    if window is None:
-        raise ContractViolation("no usage evidence")
-    row = window.rows[-1]
-    seen = int(window.visible[-1])
-    g = row.astype(np.float64).copy()
-    if seen < g.size:
-        g[seen:] = g[:seen].max()
-    return g
+def score_recent_attention(rows: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Attention paid to each position by the single most recent query,
+    which saw the whole cache."""
+    return np.array(rows[-1], dtype=np.float64)
 
 
 def score_expected_attention_proxy(
-    window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig
+    rows: np.ndarray, usage: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
     """Mean attention over the recent-query window with causal max-padding.
 
-    Stands in for expectation-based scorers; shares its machinery with the
-    usage aggregation that feeds the mass distribution.
+    Stands in for expectation-based scorers; it is the usage vector that
+    also feeds the mass distribution, computed once per event.
     """
-    return aggregate_usage(window, cfg.window)
+    return usage
 
 
-def score_key_diff(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig) -> np.ndarray:
+def score_key_diff(rows: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """L2 difference between consecutive key vectors; the first position
     copies its neighbor so sinks are neither favored nor punished here."""
     if keys is None:
@@ -59,10 +47,9 @@ def score_key_diff(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig
     return g
 
 
-def score_constant(window: UsageWindow, keys: np.ndarray, cfg: CompressionConfig) -> np.ndarray:
+def score_constant(rows: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Flat scores of 1.0; useful as a tie-break and plumbing fixture."""
-    total = window.cache_len if window is not None else keys.shape[0]
-    return np.ones(total, dtype=np.float64)
+    return np.ones(rows.shape[-1], dtype=np.float64)
 
 
 SCORERS = {
@@ -74,7 +61,9 @@ SCORERS = {
 
 
 def get_scorer(name: str):
-    """Scorer by registry name; each takes (window, keys, cfg) per head."""
+    """Scorer by registry name; each takes one head's (rows, usage, keys):
+    its [w, T] attention rows, the [T] usage aggregated from them, and its
+    [T, D] keys (None when the caller has none)."""
     if name not in SCORERS:
         raise ConfigError(f"unknown scorer {name!r}; choose from {sorted(SCORERS)}")
     return SCORERS[name]

@@ -32,11 +32,12 @@ def in_segment_topk(g: np.ndarray, start: int, end: int, q: int) -> np.ndarray:
 
 
 def _fit_to_budget(
-    picked: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: int
+    picked: np.ndarray, must: np.ndarray, order: np.ndarray, t_keep: int
 ) -> np.ndarray:
     """Trim worst non-must entries or backfill best unselected ones until the
-    keep set has exactly min(t_keep, T) members."""
-    total = g.size
+    keep set has exactly min(t_keep, T) members; ``order`` is the scores'
+    best-first order."""
+    total = order.size
     target = min(t_keep, total)
     if must.size > target:
         raise ContractViolation("must-keep set exceeds the budget; reconcile it first")
@@ -45,14 +46,12 @@ def _fit_to_budget(
     mask[must] = True
     size = int(mask.sum())
     if size > target:
-        droppable = np.flatnonzero(mask)
-        droppable = droppable[~np.isin(droppable, must)]
-        order = _best_first(g)
-        ranked = order[np.isin(order, droppable)]
+        droppable = mask.copy()
+        droppable[must] = False
+        ranked = order[droppable[order]]
         mask[ranked[-(size - target):]] = False
     elif size < target:
-        candidates = _best_first(g)
-        candidates = candidates[~mask[candidates]]
+        candidates = order[~mask[order]]
         mask[candidates[: target - size]] = True
     return np.flatnonzero(mask)
 
@@ -65,7 +64,8 @@ def select(
     t_keep: int,
 ) -> np.ndarray:
     """Union of per-segment top-quota picks and the must-keep set, fitted to
-    exactly min(t_keep, T) indices. Everything is kept when T <= t_keep."""
+    exactly min(t_keep, T) indices. Everything is kept when T <= t_keep.
+    The scores are ranked once, for both the picks and the fit."""
     g = np.asarray(g, dtype=np.float64)
     must = np.asarray(must, dtype=np.int64)
     total = g.size
@@ -73,25 +73,26 @@ def select(
         return np.arange(total, dtype=np.int64)
     if segs.total != total:
         raise ContractViolation("segments do not tile the score vector")
-    if len(quotas) != len(segs):
-        raise ContractViolation(f"{len(quotas)} quotas for {len(segs)} segments")
-    picks = [in_segment_topk(g, a, b, int(q)) for (a, b), q in zip(segs, quotas)]
-    picked = np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64)
-    return _fit_to_budget(picked, must, g, t_keep)
+    quotas, lengths = np.asarray(quotas, dtype=np.int64), segs.lengths
+    if quotas.shape != lengths.shape or not ((quotas >= 0) & (quotas <= lengths)).all():
+        raise ContractViolation(f"need one quota in [0, length] per segment, got {quotas}")
+    order = _best_first(g)
+    seg_of = np.repeat(np.arange(len(segs)), lengths)
+    # best-first within each segment, segments in order: segment i fills
+    # slots [start_i, end_i), and its first q_i slots are its picks
+    by_segment = order[np.argsort(seg_of[order], kind="stable")]
+    picked = by_segment[np.arange(total) - segs.starts[seg_of] < quotas[seg_of]]
+    return _fit_to_budget(picked, must, order, t_keep)
 
 
 def gather_cache(keys: np.ndarray, values: np.ndarray, keep: np.ndarray):
     """Gather KV rows per head along the sequence axis.
 
-    keys/values are [..., T, D]; keep is [..., k] broadcast over the leading
-    axes, so heads may retain different positions.
+    keys/values are [heads, T, D]; keep is [heads, k], so heads may retain
+    different positions.
     """
-    keep = np.asarray(keep, dtype=np.int64)
-    idx = keep[..., None]
-    return (
-        np.take_along_axis(keys, idx, axis=-2),
-        np.take_along_axis(values, idx, axis=-2),
-    )
+    idx = np.arange(keys.shape[0])[:, None], np.asarray(keep, dtype=np.int64)
+    return keys[idx], values[idx]
 
 
 def baseline_global_topk(g: np.ndarray, must: np.ndarray, t_keep: int) -> np.ndarray:
@@ -101,7 +102,7 @@ def baseline_global_topk(g: np.ndarray, must: np.ndarray, t_keep: int) -> np.nda
     total = g.size
     if total <= t_keep:
         return np.arange(total, dtype=np.int64)
-    return _fit_to_budget(np.zeros(0, dtype=np.int64), must, g, t_keep)
+    return _fit_to_budget(np.zeros(0, dtype=np.int64), must, _best_first(g), t_keep)
 
 
 def baseline_streaming(total: int, n_sink: int, t_keep: int) -> np.ndarray:
@@ -144,4 +145,4 @@ def baseline_fixed_chunk(
             picked.append(in_segment_topk(g, a, b, budget))
             budget = 0
     picked = np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
-    return _fit_to_budget(picked, np.asarray(must, dtype=np.int64), g, t_keep)
+    return _fit_to_budget(picked, np.asarray(must, dtype=np.int64), _best_first(g), t_keep)

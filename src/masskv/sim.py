@@ -12,19 +12,28 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from masskv.core import CompressionConfig, ConfigError, TokenLedger, advance_ledger
 from masskv.engine import OpCounters, compress_event
-from masskv.mass import EmaCreditStore, UsageWindow
+from masskv.mass import EmaCreditStore
 from masskv.selector import gather_cache
 
 SCHEMA_VERSION = 1
 
-WORKLOADS = ("uniform", "heavy_hitter", "drifting_focus", "low_region_adversarial")
+# each workload and the parameters it reads; every workload also reads "noise"
+WORKLOAD_PARAMS = {
+    "uniform": (),
+    "heavy_hitter": ("hitter_count", "hitter_weight"),
+    "drifting_focus": ("width", "drift", "phase", "floor"),
+    "low_region_adversarial": ("region_start", "region_len", "suppress"),
+}
+WORKLOADS = tuple(WORKLOAD_PARAMS)
 
 
 class ToyDecoder:
@@ -74,6 +83,14 @@ class WorkloadSpec:
             raise ConfigError(f"unknown workload {self.name!r}; choose from {WORKLOADS}")
         if self.steps < 1:
             raise ConfigError("workload steps must be >= 1")
+        if not isinstance(self.params, dict):
+            raise ConfigError("workload params must be a mapping of names to numbers")
+        unknown = set(self.params) - {"noise", *WORKLOAD_PARAMS[self.name]}
+        if unknown:
+            raise ConfigError(f"workload {self.name!r} does not read params {sorted(unknown)}")
+        for key, value in self.params.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"workload param {key}={value!r} is not a number")
 
 
 def _jitter(base: np.ndarray, heads: int, rng, amp: float) -> np.ndarray:
@@ -208,7 +225,9 @@ def run_schedule(
     ledger = TokenLedger.fresh(heads, 0)
     pending = 0
     credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, enabled=cfg.ema_on)
-    window_rows: list[np.ndarray] = []
+    window_rows: deque[np.ndarray] = deque(maxlen=cfg.window)
+    # each event's rows are copied here; entries past a row's prefix are stale
+    window = np.zeros((heads, min(cfg.window, capacity), capacity))
 
     trace = RunTrace(
         policy=policy,
@@ -234,24 +253,18 @@ def run_schedule(
         else:
             rows = decoder.attention_rows(q, keys[:, :t_cur])
         window_rows.append(rows)
-        if len(window_rows) > cfg.window:
-            window_rows.pop(0)
 
         if (s + 1) % cfg.interval != 0 or t_cur <= t_keep:
             continue
 
         t0 = time.perf_counter()
-        windows = []
         w = len(window_rows)
-        for h in range(heads):
-            mat = np.zeros((w, t_cur))
-            for j, r in enumerate(window_rows):
-                mat[j, : r.shape[1]] = r[h]
-            windows.append(UsageWindow(mat))
-        head_keys = [keys[h, :t_cur] for h in range(heads)]
+        for j, r in enumerate(window_rows):
+            window[:, j, : r.shape[1]] = r
         counters = OpCounters()
         sels = compress_event(
-            policy, windows, head_keys, cfg, scorer=scorer, credit=credit, counters=counters
+            policy, window[:, :w, :t_cur], keys[:, :t_cur], cfg,
+            scorer=scorer, credit=credit, counters=counters,
         )
         keep = np.stack([sel.keep for sel in sels])
         ledger = advance_ledger(ledger, pending, keep)

@@ -176,10 +176,26 @@ def test_cmd_run_library_parity(tmp_path):
                      {"name": "y", "policy": "ams", "config": {"segment_mass": 0.0}}]},
         {"entries": [{"name": "x", "policy": "streaming"},
                      {"name": "y", "policy": "ams", "steps": 0}]},
+        {"entries": [{"name": "x", "policy": "ams", "config": {"t_keep": "16"}}]},
+        {"entries": [{"name": "x", "policy": "ams", "config": {"ema_on": "false"}}]},
+        {"entries": [{"name": "x", "policy": "ams", "config": {"window": 2.5}}]},
+        {"entries": [{"name": "x", "policy": "ams", "config": {"n_sink": True}}]},
+        {"entries": [{"name": "x", "policy": "ams", "config": {"epsilon": True}}]},
+        {"entries": [{"name": "x", "policy": "ams", "workload": "heavy_hitter",
+                      "workload_params": {"hitter_count": "many"}}]},
+        {"entries": [{"name": "x", "policy": "ams", "workload": "heavy_hitter",
+                      "workload_params": {"hitter_count": True}}]},
+        {"entries": [{"name": "x", "policy": "streaming"},
+                     {"name": "y", "policy": "ams", "workload": "uniform",
+                      "workload_params": {"hitter_count": 3}}]},
+        {"entries": [{"name": "x", "policy": "ams", "workload_params": [1]}]},
     ],
     ids=["not_an_object", "unknown_config_key", "non_integer_steps", "seeds_not_ints",
          "entries_not_a_list", "entry_not_an_object", "config_not_an_object",
-         "later_entry_bad_config_value", "later_entry_zero_steps"],
+         "later_entry_bad_config_value", "later_entry_zero_steps",
+         "string_t_keep", "string_bool", "float_int_field", "bool_int_field",
+         "bool_float_field", "string_workload_param", "bool_workload_param",
+         "later_entry_unread_workload_param", "workload_params_not_an_object"],
 )
 def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     ppath = tmp_path / "plan.json"

@@ -46,6 +46,24 @@ def test_config_rejects_out_of_range():
         CompressionConfig(epsilon=0.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"t_keep": "16"}, {"t_keep": 16.0}, {"window": 2.5}, {"n_sink": True},
+     {"ema_decay": False}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
+     {"ema_on": "false"}, {"ema_on": 1}, {"fixed_length_segments_on": None}],
+)
+def test_config_rejects_wrong_types(bad):
+    with pytest.raises(ConfigError):
+        CompressionConfig(**bad)
+
+
+def test_config_accepts_numpy_numbers():
+    cfg = CompressionConfig(
+        t_keep=np.int64(64), window=np.int32(8), epsilon=1, ema_decay=np.float32(0.5)
+    )
+    assert (cfg.t_keep, cfg.window, cfg.epsilon, cfg.ema_decay) == (64, 8, 1, 0.5)
+
+
 def test_require_t_keep():
     with pytest.raises(ConfigError):
         default_config().require_t_keep()

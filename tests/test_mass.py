@@ -5,66 +5,112 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from masskv.core import ConfigError, ContractViolation
-from masskv.mass import EmaCreditStore, UsageWindow, aggregate_usage, normalize_mass, smooth
+from masskv.mass import EmaCreditStore, aggregate_usage, normalize_mass, smooth
 
 from reference import aggregate_usage_reference
+
+
+def _causal_rows(rng, heads, w, t, dtype=np.float64):
+    """[heads, w, t] rows ending at the cache tip; row j sums to 1 over its
+    first t - w + 1 + j entries and is zero past them."""
+    rows = np.zeros((heads, w, t), dtype=dtype)
+    for j in range(w):
+        seen = t - w + 1 + j
+        raw = rng.random((heads, seen)) + 1e-3
+        rows[:, j, :seen] = raw / raw.sum(axis=-1, keepdims=True)
+    return rows
 
 
 def test_aggregate_usage_padding_hand_trace():
     # the older query could not see position 2; its missing observation is
     # padded with the window max (0.5) before averaging
-    win = UsageWindow(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
-    assert win.visible.tolist() == [2, 3]
-    u = aggregate_usage(win, 8)
+    u = aggregate_usage(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), 8)
     np.testing.assert_allclose(u, [0.35, 0.4, 0.5])
 
 
 def test_aggregate_usage_single_row_uniform():
-    win = UsageWindow(np.full((1, 4), 0.25))
-    np.testing.assert_allclose(aggregate_usage(win, 4), np.full(4, 0.25))
+    np.testing.assert_allclose(aggregate_usage(np.full((1, 4), 0.25), 4), np.full(4, 0.25))
 
 
 def test_aggregate_usage_identical_rows():
-    row = np.array([0.1, 0.2, 0.3, 0.4])
-    win = UsageWindow(np.stack([row, row]), visible=np.array([4, 4]))
-    np.testing.assert_allclose(aggregate_usage(win, 2), row)
+    # identical rows average to themselves on the columns every row saw;
+    # column 2, hidden from the older row, mixes in the pad (0.6)
+    rows = np.tile([0.6, 0.4, 0.0], (2, 1))
+    np.testing.assert_allclose(aggregate_usage(rows, 2), [0.6, 0.4, 0.3])
 
 
 def test_aggregate_usage_truncates_to_last_rows():
-    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    win = UsageWindow(rows, visible=np.array([3, 3, 3]))
-    np.testing.assert_allclose(aggregate_usage(win, 1), rows[-1])
+    rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+    np.testing.assert_allclose(aggregate_usage(rows, 1), rows[-1])
+    # the pad comes from the aggregated rows only: 0.5, not the oldest row's 1.0
+    np.testing.assert_allclose(aggregate_usage(rows, 2), [0.375, 0.375, 0.5])
 
 
-def test_aggregate_usage_rejects_missing_window():
-    with pytest.raises(ContractViolation, match="no usage evidence"):
-        aggregate_usage(None, 4)
+def test_aggregate_usage_rejects_bad_shapes():
+    for rows in (np.ones(3), np.ones((2, 1)), np.ones((0, 3)), np.ones((2, 3, 0))):
+        with pytest.raises(ContractViolation, match="1 <= w <= T"):
+            aggregate_usage(rows, 4)
+    with pytest.raises(ConfigError):
+        aggregate_usage(np.ones((1, 1)), 0)
 
 
 @settings(max_examples=100)
 @given(st.data())
 def test_aggregate_usage_matches_reference(data):
-    t = data.draw(st.integers(2, 24))
-    w = data.draw(st.integers(1, min(t, 6)))
+    # per head, bit for bit: the reference sums the padded rows one by one,
+    # oldest first, and divides by their count; w = t covers a single
+    # column that every row saw
+    t = data.draw(st.integers(1, 24))
+    w = data.draw(st.sampled_from([t, *range(1, min(t, 6) + 1)]))
+    heads = data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = np.zeros((w, t))
-    visible = t - w + 1 + np.arange(w)
-    for j in range(w):
-        raw = rng.random(visible[j]) + 1e-3
-        rows[j, : visible[j]] = raw / raw.sum()
-    win = UsageWindow(rows)
+    rows = _causal_rows(rng, heads, w, t)
     max_rows = data.draw(st.integers(1, w + 2))
-    np.testing.assert_allclose(
-        aggregate_usage(win, max_rows),
-        aggregate_usage_reference(rows, visible, max_rows),
-    )
+    u = aggregate_usage(rows, max_rows)
+    assert u.shape == (heads, t)
+    visible = t - w + 1 + np.arange(w)
+    for h in range(heads):
+        np.testing.assert_array_equal(
+            u[h], aggregate_usage_reference(rows[h], visible, max_rows)
+        )
 
 
-def test_window_validates_rows():
+def test_aggregate_usage_validates_rows():
     with pytest.raises(ContractViolation):
-        UsageWindow(np.array([[0.5, 0.4, 0.0]]))  # sums to 0.9
+        aggregate_usage(np.array([[0.5, 0.4, 0.0]]), 1)  # sums to 0.9
     with pytest.raises(ContractViolation):
-        UsageWindow(np.array([[1.2, -0.2]]))
+        aggregate_usage(np.array([[1.2, -0.2]]), 1)
+    # every row is checked, also one older than the aggregated ones
+    with pytest.raises(ContractViolation):
+        aggregate_usage(np.array([[0.9, 0.0], [0.5, 0.5]]), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+@pytest.mark.parametrize("where", [(1, 0, 0), (1, 2, 5), (0, 3, 6)])
+def test_aggregate_usage_rejects_bad_visible_entry(bad, where):
+    # (head, row, column): a column all rows saw, then the unseen triangle's
+    # visible part, then the newest row's last column
+    rows = _causal_rows(np.random.default_rng(0), 2, 4, 7)
+    rows[where] = bad
+    with pytest.raises(ContractViolation):
+        aggregate_usage(rows, 4)
+
+
+@pytest.mark.parametrize("junk", [np.nan, np.inf, -np.inf, -5.0, 7.0])
+def test_aggregate_usage_ignores_unseen_triangle(junk):
+    rows = _causal_rows(np.random.default_rng(1), 2, 5, 9)
+    dirty = rows.copy()
+    for j in range(4):
+        dirty[:, j, 9 - 4 + j :] = junk
+    np.testing.assert_array_equal(aggregate_usage(dirty, 5), aggregate_usage(rows, 5))
+    np.testing.assert_array_equal(aggregate_usage(dirty, 3), aggregate_usage(rows, 3))
+
+
+def test_aggregate_usage_accepts_float32_rows():
+    rows = _causal_rows(np.random.default_rng(2), 3, 6, 40, dtype=np.float32)
+    u = aggregate_usage(rows, 6)
+    assert u.dtype == np.float64
+    np.testing.assert_array_equal(u, aggregate_usage(rows.astype(np.float64), 6))
 
 
 def test_smooth_boundary_shrink():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from masskv.core import ConfigError, ContractViolation, default_config
-from masskv.mass import UsageWindow, aggregate_usage
+from masskv.core import ConfigError, ContractViolation
+from masskv.mass import aggregate_usage
 from masskv.scorers import (
     get_scorer,
     score_constant,
@@ -12,23 +12,16 @@ from masskv.scorers import (
 )
 
 
-CFG = default_config()
-
-
 def test_recent_attention_is_last_row():
-    win = UsageWindow(np.array([[0.3, 0.7, 0.0], [0.1, 0.6, 0.3]]))
-    np.testing.assert_allclose(score_recent_attention(win, None, CFG), [0.1, 0.6, 0.3])
+    rows = np.array([[0.3, 0.7, 0.0], [0.1, 0.6, 0.3]])
+    g = score_recent_attention(rows, aggregate_usage(rows, 2), None)
+    np.testing.assert_allclose(g, [0.1, 0.6, 0.3])
 
 
 def test_recent_attention_uniform_ties():
-    win = UsageWindow(np.full((1, 4), 0.25))
-    g = score_recent_attention(win, None, CFG)
+    rows = np.full((1, 4), 0.25)
+    g = score_recent_attention(rows, aggregate_usage(rows, 1), None)
     assert (g == 0.25).all()
-
-
-def test_recent_attention_pads_masked_suffix():
-    win = UsageWindow(np.array([[0.4, 0.6, 0.0]]), visible=np.array([2]))
-    np.testing.assert_allclose(score_recent_attention(win, None, CFG), [0.4, 0.6, 0.6])
 
 
 def test_expected_proxy_equals_aggregate():
@@ -41,49 +34,54 @@ def test_expected_proxy_equals_aggregate():
             vis = t - w + 1 + j
             raw = rng.random(vis) + 1e-3
             rows[j, :vis] = raw / raw.sum()
-        win = UsageWindow(rows)
-        np.testing.assert_array_equal(
-            score_expected_attention_proxy(win, None, CFG), aggregate_usage(win, CFG.window)
-        )
+        usage = aggregate_usage(rows, 128)
+        np.testing.assert_array_equal(score_expected_attention_proxy(rows, usage, None), usage)
 
 
 def test_expected_proxy_single_row_equals_recent():
     rng = np.random.default_rng(1)
     raw = rng.random(6)
-    row = raw / raw.sum()
-    win = UsageWindow(row[None, :])
+    rows = (raw / raw.sum())[None, :]
+    usage = aggregate_usage(rows, 4)
     np.testing.assert_allclose(
-        score_expected_attention_proxy(win, None, CFG.replace(window=4)),
-        score_recent_attention(win, None, CFG),
+        score_expected_attention_proxy(rows, usage, None),
+        score_recent_attention(rows, usage, None),
     )
 
 
 def test_expected_proxy_constant_rows():
-    win = UsageWindow(np.full((3, 5), 0.2), visible=np.array([5, 5, 5]))
-    np.testing.assert_allclose(score_expected_attention_proxy(win, None, CFG.replace(window=3)), np.full(5, 0.2))
+    # three identical rows over a cache of 6: the two newest columns were
+    # hidden from the older rows and mix in the pad (0.25)
+    rows = np.tile([0.25, 0.25, 0.25, 0.25, 0.0, 0.0], (3, 1))
+    usage = aggregate_usage(rows, 3)
+    np.testing.assert_allclose(
+        score_expected_attention_proxy(rows, usage, None),
+        [0.25, 0.25, 0.25, 0.25, 0.25 / 3, 0.5 / 3],
+    )
 
 
 def test_key_diff_examples():
-    g = score_key_diff(None, np.array([[0.0, 0.0], [3.0, 4.0]]), CFG)
+    g = score_key_diff(None, None, np.array([[0.0, 0.0], [3.0, 4.0]]))
     np.testing.assert_allclose(g, [5.0, 5.0])
-    np.testing.assert_allclose(score_key_diff(None, np.ones((4, 3)), CFG), np.zeros(4))
-    np.testing.assert_allclose(score_key_diff(None, np.ones((1, 3)), CFG), [0.0])
+    np.testing.assert_allclose(score_key_diff(None, None, np.ones((4, 3))), np.zeros(4))
+    np.testing.assert_allclose(score_key_diff(None, None, np.ones((1, 3))), [0.0])
 
 
 def test_score_constant():
-    win = UsageWindow(np.full((1, 3), 1 / 3))
-    np.testing.assert_array_equal(score_constant(win, None, CFG), [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(score_constant(None, np.zeros((2, 4)), CFG), [1.0, 1.0])
-    assert score_constant(None, np.zeros((0, 4)), CFG).size == 0
+    rows = np.full((1, 3), 1 / 3)
+    np.testing.assert_array_equal(score_constant(rows, aggregate_usage(rows, 1), None), [1.0] * 3)
+    assert score_constant(np.zeros((2, 5)), None, np.zeros((5, 4))).size == 5
 
 
 def test_registry_dispatch():
-    win = UsageWindow(np.full((1, 4), 0.25))
+    rows = np.full((1, 4), 0.25)
+    usage = aggregate_usage(rows, 1)
     keys = np.arange(8, dtype=np.float64).reshape(4, 2)
-    np.testing.assert_allclose(get_scorer("recent")(win, keys, CFG), np.full(4, 0.25))
-    np.testing.assert_allclose(get_scorer("constant")(win, keys, CFG), np.ones(4))
-    assert get_scorer("keydiff")(win, keys, CFG).shape == (4,)
+    np.testing.assert_allclose(get_scorer("recent")(rows, usage, keys), np.full(4, 0.25))
+    np.testing.assert_allclose(get_scorer("expected")(rows, usage, keys), np.full(4, 0.25))
+    np.testing.assert_allclose(get_scorer("constant")(rows, usage, keys), np.ones(4))
+    assert get_scorer("keydiff")(rows, usage, keys).shape == (4,)
     with pytest.raises(ConfigError):
         get_scorer("nope")
     with pytest.raises(ContractViolation):
-        get_scorer("keydiff")(win, None, CFG)
+        get_scorer("keydiff")(rows, usage, None)

@@ -58,16 +58,18 @@ def test_select_trim_never_removes_must_keep():
 
 def test_gather_cache_examples():
     rng = np.random.default_rng(0)
-    k = rng.normal(size=(1, 2, 5, 3))
-    v = rng.normal(size=(1, 2, 5, 3))
-    keep = np.array([[[0, 2], [1, 4]]])
+    k = rng.normal(size=(2, 5, 3))
+    v = rng.normal(size=(2, 5, 3))
+    keep = np.array([[0, 2], [1, 4]])
     gk, gv = gather_cache(k, v, keep)
-    np.testing.assert_array_equal(gk[0, 0], k[0, 0, [0, 2]])
-    np.testing.assert_array_equal(gk[0, 1], k[0, 1, [1, 4]])
-    np.testing.assert_array_equal(gv[0, 1], v[0, 1, [1, 4]])
-    keep_all = np.arange(5)[None, None, :].repeat(2, axis=1)
+    assert gk.shape == gv.shape == (2, 2, 3)
+    np.testing.assert_array_equal(gk[0], k[0, [0, 2]])
+    np.testing.assert_array_equal(gk[1], k[1, [1, 4]])
+    np.testing.assert_array_equal(gv[1], v[1, [1, 4]])
+    keep_all = np.arange(5)[None, :].repeat(2, axis=0)
     gk, gv = gather_cache(k, v, keep_all)
     np.testing.assert_array_equal(gk, k)
+    np.testing.assert_array_equal(gv, v)
 
 
 def test_baseline_streaming_examples():

@@ -52,6 +52,30 @@ def test_every_policy_scorer_combination_runs(policy, scorer):
         assert ev.keep_positions.shape[1] == 48
 
 
+@pytest.mark.parametrize("policy", ["ams", "global_topk", "streaming", "fixed_chunk"])
+def test_usage_is_aggregated_once_per_event(monkeypatch, policy):
+    import masskv.engine
+
+    calls = []
+    aggregate = masskv.engine.aggregate_usage
+
+    def counted(rows, max_rows):
+        calls.append(rows.shape)
+        return aggregate(rows, max_rows)
+
+    monkeypatch.setattr(masskv.engine, "aggregate_usage", counted)
+    cfg = CFG.replace(interval=96, t_keep=48, window=32)
+    for source in (WorkloadSpec("drifting_focus", steps=288, seed=5), ToyDecoder(5, kv_heads=3)):
+        calls.clear()
+        trace = run_schedule(source, policy, cfg, steps=288, kv_heads=3, scorer="expected")
+        assert len(trace.events) == 3
+        if policy == "streaming":
+            assert calls == []
+        else:
+            # one call per event, for all heads: [heads, w, T]
+            assert calls == [(3, 32, ev.cache_len) for ev in trace.events]
+
+
 def test_no_events_when_steps_below_interval():
     spec = WorkloadSpec("uniform", steps=100, seed=0)
     trace = run_schedule(spec, "ams", CFG)
@@ -121,6 +145,11 @@ def test_workload_validation():
         WorkloadSpec("bogus", steps=10)
     with pytest.raises(ConfigError):
         WorkloadSpec("uniform", steps=0)
+    for params in ({"hitter_count": 2}, {"noise": "0.1"}, {"noise": True}):
+        with pytest.raises(ConfigError):
+            WorkloadSpec("uniform", steps=10, params=params)
+    spec = WorkloadSpec("heavy_hitter", steps=10, params={"noise": 0, "hitter_count": np.int64(2)})
+    assert run_schedule(spec, "ams", CFG).steps == 10
 
 
 def _fake_trace(events, cfg=None):
