@@ -127,7 +127,6 @@ def baseline_fixed_chunk(
     if total <= t_keep:
         return np.arange(total, dtype=np.int64)
     edges = list(range(0, total, chunk_len)) + [total]
-    edges = sorted(set(edges))
     chunks = list(zip(edges[:-1], edges[1:]))
     sums = np.array([g[a:b].sum() for a, b in chunks])
     order = np.lexsort((np.arange(len(chunks)), -sums))

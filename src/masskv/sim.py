@@ -5,16 +5,20 @@ event every ``interval`` generated tokens, and records keep sets (as original
 token ids via the ledger), segment boundaries, quotas, and mass vectors into
 a RunTrace for the structural diagnostics. Attention rows come either from
 the decoder's own softmax attention or from a synthetic workload generator
-that shapes where attention mass sits.
+that shapes where attention mass sits. Keys and values are projected once per
+interval, and a row is built only if an event reads it: an event reads the
+rows of its last ``window`` steps since the previous event. Every other row
+is skipped; a workload generator advances its random stream past a skipped
+row, so the rows that are built have the same bits as when every row was.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +40,24 @@ WORKLOAD_PARAMS = {
 WORKLOADS = tuple(WORKLOAD_PARAMS)
 
 
+def _count(v) -> bool:
+    return isinstance(v, numbers.Integral) and v >= 0
+
+
+# the values a parameter may take; a parameter not listed must be finite.
+# Comparing with inf, not math.isfinite, also works for ints too big for a float.
+PARAM_RANGES = {
+    "noise": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "hitter_count": ("an integer >= 0", _count),
+    "hitter_weight": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "width": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "floor": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "region_start": ("an integer >= 0", _count),
+    "region_len": ("an integer >= 0", _count),
+    "suppress": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+}
+
+
 class ToyDecoder:
     """Single-layer decoder with fixed random projections and softmax attention.
 
@@ -54,12 +76,12 @@ class ToyDecoder:
         self.w_k = rng.normal(size=shape) * scale
         self.w_v = rng.normal(size=shape) * scale
 
-    def project(self, x: np.ndarray):
-        """Per-head query/key/value vectors for one input embedding."""
-        q = np.einsum("hij,j->hi", self.w_q, x)
-        k = np.einsum("hij,j->hi", self.w_k, x)
-        v = np.einsum("hij,j->hi", self.w_v, x)
-        return q, k, v
+    def project(self, w: np.ndarray, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-head projections [heads, n, head_dim] of n input embeddings
+        ``xs`` [n, head_dim] by one weight stack (``w_q``, ``w_k`` or ``w_v``),
+        written into ``out`` if given. Each vector has the bits of projecting
+        its embedding alone."""
+        return np.einsum("hij,sj->hsi", w, xs, out=out)
 
     def attention_rows(self, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Softmax attention of one query over the live cache, per head."""
@@ -91,6 +113,9 @@ class WorkloadSpec:
         for key, value in self.params.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"workload param {key}={value!r} is not a number")
+            rule, ok = PARAM_RANGES.get(key, ("finite", lambda v: -math.inf < v < math.inf))
+            if not ok(value):
+                raise ConfigError(f"workload param {key}={value!r} must be {rule}")
 
 
 def _jitter(base: np.ndarray, heads: int, rng, amp: float) -> np.ndarray:
@@ -147,6 +172,11 @@ class _WorkloadRows:
         base = base / base.sum()
         return _jitter(base, self.heads, self.rng, self.amp)
 
+    def skip(self, step: int, total: int) -> None:
+        """Leave the generator where ``rows(step, total)`` would: a row draws
+        one 64-bit value per uniform double, ``heads * total`` of them."""
+        self.rng.bit_generator.advance(self.heads * total)
+
 
 @dataclass
 class EventRecord:
@@ -198,6 +228,12 @@ def run_schedule(
     ``source`` is a WorkloadSpec (synthetic attention rows over a toy KV
     stream) or a ToyDecoder (its own attention rows). Events fire only when
     the cache actually exceeds the budget.
+
+    Each interval's keys and values are projected in one call. An event reads
+    the attention rows of its last ``window`` steps since the previous event,
+    and only those rows are built; in ToyDecoder mode only their queries are
+    projected, and in workload mode no query is. Rows no event reads, such
+    as those of a tail with no event after it, are skipped.
     """
     t_keep = cfg.require_t_keep()
     if isinstance(source, WorkloadSpec):
@@ -216,18 +252,21 @@ def run_schedule(
     else:
         raise ConfigError(f"source must be a WorkloadSpec or ToyDecoder, got {type(source)}")
     heads, dim = decoder.kv_heads, decoder.head_dim
+    interval = cfg.interval
     rng_in = np.random.default_rng(np.random.SeedSequence([int(seed), 0x117]))
 
-    capacity = t_keep + cfg.interval
+    # an interval starts with t_cur <= t_keep, so its tokens always fit
+    capacity = t_keep + interval
     keys = np.zeros((heads, capacity, dim))
     values = np.zeros((heads, capacity, dim))
     t_cur = 0
     ledger = TokenLedger.fresh(heads, 0)
     pending = 0
     credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, enabled=cfg.ema_on)
-    window_rows: deque[np.ndarray] = deque(maxlen=cfg.window)
-    # each event's rows are copied here; entries past a row's prefix are stale
+    # the rows the next event reads, oldest first; entries past a row's
+    # causal prefix are stale
     window = np.zeros((heads, min(cfg.window, capacity), capacity))
+    w = 0
 
     trace = RunTrace(
         policy=policy,
@@ -241,26 +280,34 @@ def run_schedule(
         head_dim=dim,
     )
 
-    for s in range(steps):
-        x = rng_in.normal(size=dim)
-        q, k, v = decoder.project(x)
-        keys[:, t_cur] = k
-        values[:, t_cur] = v
-        t_cur += 1
-        pending += 1
+    for start in range(0, steps, interval):
+        n = min(interval, steps - start)
+        xs = rng_in.normal(size=(n, dim))
+        decoder.project(decoder.w_k, xs, out=keys[:, t_cur : t_cur + n])
+        decoder.project(decoder.w_v, xs, out=values[:, t_cur : t_cur + n])
+        # The next event fires at the first interval end (step e, 0-based)
+        # whose cache exceeds t_keep; it reads the rows of steps > e - window.
+        e = (start + max(0, t_keep - t_cur)) // interval * interval + interval - 1
+        first = min(n, max(0, e - cfg.window + 1 - start)) if e < steps else n
         if row_gen is not None:
-            rows = row_gen.rows(s, t_cur)
+            for i in range(first):
+                row_gen.skip(start + i, t_cur + i + 1)
         else:
-            rows = decoder.attention_rows(q, keys[:, :t_cur])
-        window_rows.append(rows)
+            qs = decoder.project(decoder.w_q, xs[first:])
+        for i in range(first, n):
+            t = t_cur + i + 1
+            if row_gen is not None:
+                window[:, w, :t] = row_gen.rows(start + i, t)
+            else:
+                window[:, w, :t] = decoder.attention_rows(qs[:, i - first], keys[:, :t])
+            w += 1
+        t_cur += n
+        pending += n
 
-        if (s + 1) % cfg.interval != 0 or t_cur <= t_keep:
+        if n < interval or t_cur <= t_keep:
             continue
 
         t0 = time.perf_counter()
-        w = len(window_rows)
-        for j, r in enumerate(window_rows):
-            window[:, j, : r.shape[1]] = r
         counters = OpCounters()
         sels = compress_event(
             policy, window[:, :w, :t_cur], keys[:, :t_cur], cfg,
@@ -273,7 +320,7 @@ def run_schedule(
         trace.events.append(
             EventRecord(
                 index=len(trace.events),
-                step=s + 1,
+                step=start + n,
                 cache_len=t_cur,
                 keep_positions=keep,
                 kept_ids=ledger.ids,
@@ -292,7 +339,7 @@ def run_schedule(
         if cfg.ema_on and policy == "ams":
             for h in range(heads):
                 credit.remap(0, h, keep[h], kept)
-        window_rows.clear()
+        w = 0
         t_cur = kept
 
     _summarize(trace)

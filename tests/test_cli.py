@@ -189,13 +189,21 @@ def test_cmd_run_library_parity(tmp_path):
                      {"name": "y", "policy": "ams", "workload": "uniform",
                       "workload_params": {"hitter_count": 3}}]},
         {"entries": [{"name": "x", "policy": "ams", "workload_params": [1]}]},
+        {"entries": [{"name": "x", "policy": "ams", "workload": "heavy_hitter",
+                      "workload_params": {"hitter_count": -1}}]},
+        {"entries": [{"name": "x", "policy": "streaming"},
+                     {"name": "y", "policy": "ams", "workload": "uniform",
+                      "workload_params": {"noise": 3}}]},
+        {"entries": [{"name": "x", "policy": "ams", "workload": "low_region_adversarial",
+                      "workload_params": {"region_len": -5}}]},
     ],
     ids=["not_an_object", "unknown_config_key", "non_integer_steps", "seeds_not_ints",
          "entries_not_a_list", "entry_not_an_object", "config_not_an_object",
          "later_entry_bad_config_value", "later_entry_zero_steps",
          "string_t_keep", "string_bool", "float_int_field", "bool_int_field",
          "bool_float_field", "string_workload_param", "bool_workload_param",
-         "later_entry_unread_workload_param", "workload_params_not_an_object"],
+         "later_entry_unread_workload_param", "workload_params_not_an_object",
+         "negative_hitter_count", "later_entry_noise_out_of_range", "negative_region_len"],
 )
 def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     ppath = tmp_path / "plan.json"

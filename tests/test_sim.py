@@ -11,10 +11,12 @@ from masskv.diagnostics import (
     metric_wipeout_rate,
 )
 from masskv.sim import (
+    WORKLOADS,
     EventRecord,
     RunTrace,
     ToyDecoder,
     WorkloadSpec,
+    _WorkloadRows,
     run_schedule,
     trace_to_dict,
     write_trace_csv,
@@ -101,16 +103,92 @@ def test_streaming_keeps_sinks_and_suffix():
 
 
 def test_toy_decoder_determinism_and_rows():
-    dec = ToyDecoder(seed=3, kv_heads=2, head_dim=8)
+    dec = ToyDecoder(seed=3, kv_heads=2, head_dim=64)
     rng = np.random.default_rng(0)
-    x = rng.normal(size=8)
-    q1, k1, v1 = dec.project(x)
-    q2, k2, v2 = ToyDecoder(seed=3, kv_heads=2, head_dim=8).project(x)
-    np.testing.assert_array_equal(q1, q2)
-    keys = rng.normal(size=(2, 5, 8))
-    rows = dec.attention_rows(q1, keys)
+    xs = rng.normal(size=(5, 64))
+    q = dec.project(dec.w_q, xs)
+    assert q.shape == (2, 5, 64)
+    again = ToyDecoder(seed=3, kv_heads=2, head_dim=64)
+    np.testing.assert_array_equal(q, again.project(again.w_q, xs))
+    # the batched projection, also into a slice of a larger buffer, has the
+    # bits of projecting each embedding alone
+    for w in (dec.w_q, dec.w_k, dec.w_v):
+        out = np.zeros((2, 9, 64))
+        dec.project(w, xs, out=out[:, 2:7])
+        for s, x in enumerate(xs):
+            np.testing.assert_array_equal(out[:, 2 + s], np.einsum("hij,j->hi", w, x))
+    keys = rng.normal(size=(2, 5, 64))
+    rows = dec.attention_rows(q[:, 0], keys)
     np.testing.assert_allclose(rows.sum(axis=-1), 1.0)
     assert (rows > 0).all()
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_skip_leaves_the_generator_where_rows_would(name):
+    # heavy_hitter draws its hitter positions when the generator is built
+    drawn, skipped = (_WorkloadRows(WorkloadSpec(name, steps=10, seed=4), heads=3) for _ in range(2))
+    for step, total in ((0, 1), (1, 2), (7, 40), (8, 41)):
+        drawn.rows(step, total)
+        skipped.skip(step, total)
+        assert drawn.rng.bit_generator.state == skipped.rng.bit_generator.state
+    np.testing.assert_array_equal(drawn.rows(9, 42), skipped.rows(9, 42))
+
+
+# (t_keep, interval, window, steps)
+LAZY_CASES = {
+    "window_below_interval": (64, 32, 16, 320),
+    "window_equals_interval": (64, 32, 32, 320),
+    # the first event is at step 96: its rows cross the boundary at 64, which does not fire
+    "window_above_interval": (70, 32, 48, 320),
+    "window_above_cache": (16, 32, 500, 320),
+    "steps_not_a_multiple": (64, 32, 16, 319),  # one step short of an event
+    "no_events": (512, 32, 16, 200),
+}
+
+
+def _rows_read(trace, window):
+    """The 0-based steps whose rows the trace's events read."""
+    steps, prev = [], 0
+    for ev in trace.events:
+        steps.extend(range(max(prev, ev.step - window), ev.step))
+        prev = ev.step
+    return steps
+
+
+@pytest.mark.parametrize("case", LAZY_CASES.values(), ids=LAZY_CASES.keys())
+def test_lazy_rows_change_nothing_and_build_only_what_events_read(monkeypatch, case):
+    t_keep, interval, window, steps = case
+    cfg = CFG.replace(t_keep=t_keep, interval=interval, window=window, n_last=4)
+    specs = [WorkloadSpec(name, steps=steps, seed=6) for name in ("heavy_hitter", "drifting_focus")]
+    lazy = [trace_to_dict(run_schedule(spec, "ams", cfg, kv_heads=3)) for spec in specs]
+
+    built, queried = [], []
+    rows, attention_rows = _WorkloadRows.rows, ToyDecoder.attention_rows
+
+    def counted_rows(self, step, total):
+        built.append(step)
+        return rows(self, step, total)
+
+    def counted_attention_rows(self, q, keys):
+        queried.append(keys.shape[1])
+        return attention_rows(self, q, keys)
+
+    monkeypatch.setattr(_WorkloadRows, "rows", counted_rows)
+    monkeypatch.setattr(ToyDecoder, "attention_rows", counted_attention_rows)
+    for spec in specs:
+        built.clear()
+        trace = run_schedule(spec, "ams", cfg, kv_heads=3)
+        assert built == _rows_read(trace, window)
+    queried.clear()
+    trace = run_schedule(ToyDecoder(6, kv_heads=2, head_dim=8), "ams", cfg, steps=steps)
+    assert len(queried) == len(_rows_read(trace, window))
+    if case == LAZY_CASES["no_events"]:
+        assert trace.events == [] and queried == []
+
+    # drawing every skipped row and throwing it away gives the same traces
+    monkeypatch.setattr(_WorkloadRows, "skip", lambda self, step, total: rows(self, step, total))
+    eager = [trace_to_dict(run_schedule(spec, "ams", cfg, kv_heads=3)) for spec in specs]
+    assert eager == lazy
 
 
 def test_run_schedule_with_decoder_source():
@@ -148,6 +226,38 @@ def test_workload_validation():
     for params in ({"hitter_count": 2}, {"noise": "0.1"}, {"noise": True}):
         with pytest.raises(ConfigError):
             WorkloadSpec("uniform", steps=10, params=params)
+    out_of_range = [
+        ("heavy_hitter", {"hitter_count": -1}),
+        ("heavy_hitter", {"hitter_count": 2.0}),
+        ("heavy_hitter", {"hitter_weight": 1.0}),
+        ("heavy_hitter", {"hitter_weight": -0.1}),
+        ("uniform", {"noise": 3}),
+        ("uniform", {"noise": 1.0}),
+        ("uniform", {"noise": -0.01}),
+        ("uniform", {"noise": float("nan")}),
+        ("drifting_focus", {"width": 0}),
+        ("drifting_focus", {"width": float("inf")}),
+        ("drifting_focus", {"floor": 1.5}),
+        ("drifting_focus", {"floor": -0.5}),
+        ("drifting_focus", {"drift": float("nan")}),
+        ("low_region_adversarial", {"region_start": -1}),
+        ("low_region_adversarial", {"region_len": -5}),
+        ("low_region_adversarial", {"region_len": 6.5}),
+        ("low_region_adversarial", {"suppress": -1}),
+        ("low_region_adversarial", {"suppress": float("inf")}),
+        ("drifting_focus", {"phase": -float("inf")}),
+    ]
+    for name, params in out_of_range:
+        with pytest.raises(ConfigError):
+            WorkloadSpec(name, steps=10, params=params)
+    at_the_edges = [
+        ("heavy_hitter", {"hitter_count": 0, "hitter_weight": 0, "noise": 0}),
+        ("drifting_focus", {"floor": 0, "width": 1e-9, "drift": -3.0, "phase": 7}),
+        ("drifting_focus", {"floor": 1}),
+        ("low_region_adversarial", {"region_start": 0, "region_len": 0, "suppress": 0}),
+    ]
+    for name, params in at_the_edges:
+        run_schedule(WorkloadSpec(name, steps=160, seed=1, params=params), "ams", CFG)
     spec = WorkloadSpec("heavy_hitter", steps=10, params={"noise": 0, "hitter_count": np.int64(2)})
     assert run_schedule(spec, "ams", CFG).steps == 10
 
