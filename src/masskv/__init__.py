@@ -38,7 +38,6 @@ from masskv.selector import (
     baseline_fixed_chunk,
     baseline_global_topk,
     baseline_streaming,
-    gather_cache,
     in_segment_topk,
     select,
 )

@@ -57,12 +57,14 @@ class OpCounters:
 def ams_head_selection(
     usage: np.ndarray,
     g: np.ndarray,
+    must: np.ndarray,
+    t_rem: int,
     cfg: CompressionConfig,
     credit: EmaCreditStore | None = None,
-    layer: int = 0,
     head: int = 0,
 ) -> HeadSelection:
-    """Allocate-then-score selection for one head from its aggregated usage."""
+    """Allocate-then-score selection for one head from its aggregated usage,
+    given the event's reconciled must-keep indices and remaining budget."""
     t_keep = cfg.require_t_keep()
     total = g.size
     if total <= t_keep:
@@ -70,12 +72,11 @@ def ams_head_selection(
     u = smooth(usage, cfg.smooth_kernel)
     m = normalize_mass(u, cfg.epsilon)
     if credit is not None and cfg.ema_on:
-        credit.grow_to(layer, head, total)
-        m = credit.update_and_mix(layer, head, m)
+        credit.grow_to(head, total)
+        m = credit.update_and_mix(head, m)
     segs = segment(m, cfg)
-    must, t_rem = reconcile_budget(must_keep(total, cfg), t_keep)
     quotas = compute_quotas(segs, m, t_rem, cfg)
-    keep = select(g, segs, quotas.quotas, must.indices, t_keep)
+    keep = select(g, segs, quotas.quotas, must, t_keep)
     return HeadSelection(keep=keep, segments=segs, quotas=quotas.quotas, mass=m)
 
 
@@ -86,16 +87,16 @@ def compress_event(
     cfg: CompressionConfig,
     scorer: str = "expected",
     credit: EmaCreditStore | None = None,
-    layer: int = 0,
     chunk_len: int = DEFAULT_CHUNK_LEN,
     counters: OpCounters | None = None,
 ) -> list[HeadSelection]:
-    """Apply a policy to every head of one layer at one compression event.
+    """Apply a policy to every head at one compression event.
 
     ``rows`` is [heads, w, T]: each head's attention rows of the last w
     queries, ending at the cache tip (see ``aggregate_usage``). ``keys`` is
     [heads, T, D], or None for scorers that do not need keys. Usage is
-    aggregated once for all heads; ``streaming`` never reads it.
+    aggregated once for all heads, and the must-keep set, which depends
+    only on T, is computed once; ``streaming`` reads neither.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -106,11 +107,12 @@ def compress_event(
         keep = baseline_streaming(total, cfg.n_sink, t_keep)
         return [HeadSelection(keep=keep) for _ in range(heads)]
     usage = aggregate_usage(rows, cfg.window)
+    must, t_rem = reconcile_budget(must_keep(total, cfg), t_keep)
     out = []
     for h in range(heads):
         g = score_fn(rows[h], usage[h], keys[h] if keys is not None else None)
         if policy == "ams":
-            sel = ams_head_selection(usage[h], g, cfg, credit, layer, h)
+            sel = ams_head_selection(usage[h], g, must.indices, t_rem, cfg, credit, h)
             if counters is not None and sel.segments is not None:
                 counters.cache_len += total
                 counters.usage_elems += w * total
@@ -122,7 +124,6 @@ def compress_event(
                 counters.select_candidates += total
             out.append(sel)
             continue
-        must, _ = reconcile_budget(must_keep(total, cfg), t_keep)
         if policy == "global_topk":
             keep = baseline_global_topk(g, must.indices, t_keep)
         else:

@@ -98,11 +98,11 @@ def _normalize(v: np.ndarray) -> np.ndarray:
 
 
 class EmaCreditStore:
-    """Per-(layer, head) decayed accumulation of past mass assignments.
+    """Per-head decayed accumulation of past mass assignments.
 
     Credit follows surviving tokens across gathers (``remap``) and is mixed
     into the current mass so that consistently useful regions keep their
-    budget share across events. Single-writer per (layer, head).
+    budget share across events. Single-writer per head.
     """
 
     def __init__(self, decay: float, mix: float, enabled: bool = True):
@@ -113,28 +113,27 @@ class EmaCreditStore:
         self.decay = decay
         self.mix = mix
         self.enabled = enabled
-        self._credit: dict[tuple[int, int], np.ndarray] = {}
+        self._credit: dict[int, np.ndarray] = {}
 
-    def credit(self, layer: int, head: int, length: int | None = None) -> np.ndarray:
+    def credit(self, head: int, length: int | None = None) -> np.ndarray:
         """Current credit vector; created as zeros of ``length`` on first use."""
-        key = (layer, head)
-        if key not in self._credit:
+        if head not in self._credit:
             if length is None:
-                raise ContractViolation(f"no credit yet for layer={layer}, head={head}")
-            self._credit[key] = np.zeros(length, dtype=np.float64)
-        return self._credit[key]
+                raise ContractViolation(f"no credit yet for head={head}")
+            self._credit[head] = np.zeros(length, dtype=np.float64)
+        return self._credit[head]
 
-    def grow_to(self, layer: int, head: int, length: int) -> None:
+    def grow_to(self, head: int, length: int) -> None:
         """Zero-extend credit for tokens generated since the last event."""
-        cur = self.credit(layer, head, length)
+        cur = self.credit(head, length)
         if length < cur.size:
             raise ContractViolation("credit cannot shrink outside remap")
         if length > cur.size:
-            self._credit[(layer, head)] = np.concatenate(
+            self._credit[head] = np.concatenate(
                 [cur, np.zeros(length - cur.size, dtype=np.float64)]
             )
 
-    def update_and_mix(self, layer: int, head: int, m_cur: np.ndarray) -> np.ndarray:
+    def update_and_mix(self, head: int, m_cur: np.ndarray) -> np.ndarray:
         """Decay-update the credit with the current mass and return the
         history-aware mass used for segmentation and quotas.
 
@@ -143,26 +142,26 @@ class EmaCreditStore:
         m_cur = np.asarray(m_cur, dtype=np.float64)
         if not self.enabled:
             return m_cur
-        c = self.credit(layer, head, m_cur.size)
+        c = self.credit(head, m_cur.size)
         if c.size != m_cur.size:
             raise ContractViolation(
                 f"credit misaligned with cache: {c.size} vs {m_cur.size}"
             )
         c = self.decay * c + (1.0 - self.decay) * m_cur
-        self._credit[(layer, head)] = c
+        self._credit[head] = c
         mixed = self.mix * m_cur + (1.0 - self.mix) * _normalize(c)
         return _normalize(mixed)
 
-    def remap(self, layer: int, head: int, keep: np.ndarray, new_len: int) -> None:
+    def remap(self, head: int, keep: np.ndarray, new_len: int) -> None:
         """Gather credit by the keep set; newborn positions start at zero."""
         keep = np.asarray(keep, dtype=np.int64)
         if keep.size == 0:
             raise ContractViolation("keep set may not be empty when remapping credit")
         if new_len < keep.size:
             raise ContractViolation("new_len must be >= |keep|")
-        c = self.credit(layer, head, int(keep.max()) + 1)
+        c = self.credit(head, int(keep.max()) + 1)
         if keep.min() < 0 or keep.max() >= c.size:
             raise ContractViolation("keep index out of range for credit")
         fresh = np.zeros(new_len, dtype=np.float64)
         fresh[: keep.size] = c[keep]
-        self._credit[(layer, head)] = fresh
+        self._credit[head] = fresh

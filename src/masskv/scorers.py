@@ -59,6 +59,10 @@ SCORERS = {
     "constant": score_constant,
 }
 
+# the scorers that read key vectors; a run keeps a key cache only for these
+# (or for a decoder's own attention), and passes keys=None to the others
+READS_KEYS = frozenset({"keydiff"})
+
 
 def get_scorer(name: str):
     """Scorer by registry name; each takes one head's (rows, usage, keys):

@@ -85,16 +85,6 @@ def select(
     return _fit_to_budget(picked, must, order, t_keep)
 
 
-def gather_cache(keys: np.ndarray, values: np.ndarray, keep: np.ndarray):
-    """Gather KV rows per head along the sequence axis.
-
-    keys/values are [heads, T, D]; keep is [heads, k], so heads may retain
-    different positions.
-    """
-    idx = np.arange(keys.shape[0])[:, None], np.asarray(keep, dtype=np.int64)
-    return keys[idx], values[idx]
-
-
 def baseline_global_topk(g: np.ndarray, must: np.ndarray, t_keep: int) -> np.ndarray:
     """Must-keep entries plus the globally highest-scoring remainder."""
     g = np.asarray(g, dtype=np.float64)

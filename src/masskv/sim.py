@@ -5,11 +5,13 @@ event every ``interval`` generated tokens, and records keep sets (as original
 token ids via the ledger), segment boundaries, quotas, and mass vectors into
 a RunTrace for the structural diagnostics. Attention rows come either from
 the decoder's own softmax attention or from a synthetic workload generator
-that shapes where attention mass sits. Keys and values are projected once per
-interval, and a row is built only if an event reads it: an event reads the
-rows of its last ``window`` steps since the previous event. Every other row
-is skipped; a workload generator advances its random stream past a skipped
-row, so the rows that are built have the same bits as when every row was.
+that shapes where attention mass sits. A run keeps no values, which nothing
+reads, and keeps keys, projected once per interval, only for the decoder's
+own attention or a scorer in ``READS_KEYS``. A row is built only if an event
+reads it: the rows of its last ``window`` steps since the previous event.
+Every other row is skipped; a workload generator advances its random stream
+past a skipped row, so the rows that are built have the same bits as when
+every row was.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from masskv.core import CompressionConfig, ConfigError, TokenLedger, advance_ledger
 from masskv.engine import OpCounters, compress_event
 from masskv.mass import EmaCreditStore
-from masskv.selector import gather_cache
+from masskv.scorers import READS_KEYS
 
 SCHEMA_VERSION = 1
 
@@ -44,17 +46,17 @@ def _count(v) -> bool:
     return isinstance(v, numbers.Integral) and v >= 0
 
 
-# the values a parameter may take; a parameter not listed must be finite.
-# Comparing with inf, not math.isfinite, also works for ints too big for a float.
+# the values a parameter may take beyond converting to a finite float, which
+# every parameter must; hitter_count must also be <= steps
 PARAM_RANGES = {
     "noise": ("in [0, 1)", lambda v: 0 <= v < 1),
     "hitter_count": ("an integer >= 0", _count),
     "hitter_weight": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "width": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "width": ("finite and > 0", lambda v: v > 0),
     "floor": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "region_start": ("an integer >= 0", _count),
     "region_len": ("an integer >= 0", _count),
-    "suppress": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "suppress": ("finite and >= 0", lambda v: v >= 0),
 }
 
 
@@ -62,7 +64,7 @@ class ToyDecoder:
     """Single-layer decoder with fixed random projections and softmax attention.
 
     Deterministic given the seed; stands in for a backbone so the policies
-    have real key/value rows to gather and live attention rows to observe.
+    have real key rows to gather and live attention rows to observe.
     """
 
     def __init__(self, seed: int, kv_heads: int = 2, head_dim: int = 16):
@@ -74,11 +76,10 @@ class ToyDecoder:
         shape = (kv_heads, head_dim, head_dim)
         self.w_q = rng.normal(size=shape) * scale
         self.w_k = rng.normal(size=shape) * scale
-        self.w_v = rng.normal(size=shape) * scale
 
     def project(self, w: np.ndarray, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-head projections [heads, n, head_dim] of n input embeddings
-        ``xs`` [n, head_dim] by one weight stack (``w_q``, ``w_k`` or ``w_v``),
+        ``xs`` [n, head_dim] by one weight stack (``w_q`` or ``w_k``),
         written into ``out`` if given. Each vector has the bits of projecting
         its embedding alone."""
         return np.einsum("hij,sj->hsi", w, xs, out=out)
@@ -113,9 +114,15 @@ class WorkloadSpec:
         for key, value in self.params.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"workload param {key}={value!r} is not a number")
-            rule, ok = PARAM_RANGES.get(key, ("finite", lambda v: -math.inf < v < math.inf))
-            if not ok(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too big for a float
+                raise ConfigError(f"workload param {key} is too large for a float") from None
+            rule, ok = PARAM_RANGES.get(key, ("finite", lambda v: True))
+            if not (finite and ok(value)):
                 raise ConfigError(f"workload param {key}={value!r} must be {rule}")
+        if self.params.get("hitter_count", 0) > self.steps:
+            raise ConfigError(f"workload param hitter_count must be <= steps ({self.steps})")
 
 
 def _jitter(base: np.ndarray, heads: int, rng, amp: float) -> np.ndarray:
@@ -229,36 +236,40 @@ def run_schedule(
     stream) or a ToyDecoder (its own attention rows). Events fire only when
     the cache actually exceeds the budget.
 
-    Each interval's keys and values are projected in one call. An event reads
-    the attention rows of its last ``window`` steps since the previous event,
-    and only those rows are built; in ToyDecoder mode only their queries are
-    projected, and in workload mode no query is. Rows no event reads, such
-    as those of a tail with no event after it, are skipped.
+    Keys are kept only in ToyDecoder mode or for a scorer in ``READS_KEYS``:
+    projected in one call per interval and gathered in place at each event.
+    A workload run with any other scorer builds no decoder and draws no
+    input embeddings. An event reads the attention rows of its last
+    ``window`` steps since the previous event, and only those rows are built;
+    in ToyDecoder mode only their queries are projected, and in workload mode
+    no query is. Rows no event reads, such as those of a tail with no event
+    after it, are skipped.
     """
     t_keep = cfg.require_t_keep()
     if isinstance(source, WorkloadSpec):
         workload = source
         steps = steps if steps is not None else workload.steps
         seed = workload.seed
-        decoder = ToyDecoder(seed, kv_heads=kv_heads, head_dim=head_dim)
-        row_gen = _WorkloadRows(workload, decoder.kv_heads)
+        heads, dim = kv_heads, head_dim
+        decoder = ToyDecoder(seed, kv_heads=heads, head_dim=dim) if scorer in READS_KEYS else None
+        row_gen = _WorkloadRows(workload, heads)
     elif isinstance(source, ToyDecoder):
         workload = None
         decoder = source
         seed = decoder.seed
+        heads, dim = decoder.kv_heads, decoder.head_dim
         row_gen = None
         if steps is None:
             raise ConfigError("steps is required when driving a ToyDecoder directly")
     else:
         raise ConfigError(f"source must be a WorkloadSpec or ToyDecoder, got {type(source)}")
-    heads, dim = decoder.kv_heads, decoder.head_dim
     interval = cfg.interval
-    rng_in = np.random.default_rng(np.random.SeedSequence([int(seed), 0x117]))
-
     # an interval starts with t_cur <= t_keep, so its tokens always fit
     capacity = t_keep + interval
-    keys = np.zeros((heads, capacity, dim))
-    values = np.zeros((heads, capacity, dim))
+    keys = None
+    if decoder is not None:
+        rng_in = np.random.default_rng(np.random.SeedSequence([int(seed), 0x117]))
+        keys = np.zeros((heads, capacity, dim))
     t_cur = 0
     ledger = TokenLedger.fresh(heads, 0)
     pending = 0
@@ -282,9 +293,9 @@ def run_schedule(
 
     for start in range(0, steps, interval):
         n = min(interval, steps - start)
-        xs = rng_in.normal(size=(n, dim))
-        decoder.project(decoder.w_k, xs, out=keys[:, t_cur : t_cur + n])
-        decoder.project(decoder.w_v, xs, out=values[:, t_cur : t_cur + n])
+        if decoder is not None:
+            xs = rng_in.normal(size=(n, dim))
+            decoder.project(decoder.w_k, xs, out=keys[:, t_cur : t_cur + n])
         # The next event fires at the first interval end (step e, 0-based)
         # whose cache exceeds t_keep; it reads the rows of steps > e - window.
         e = (start + max(0, t_keep - t_cur)) // interval * interval + interval - 1
@@ -292,7 +303,7 @@ def run_schedule(
         if row_gen is not None:
             for i in range(first):
                 row_gen.skip(start + i, t_cur + i + 1)
-        else:
+        elif first < n:
             qs = decoder.project(decoder.w_q, xs[first:])
         for i in range(first, n):
             t = t_cur + i + 1
@@ -310,7 +321,7 @@ def run_schedule(
         t0 = time.perf_counter()
         counters = OpCounters()
         sels = compress_event(
-            policy, window[:, :w, :t_cur], keys[:, :t_cur], cfg,
+            policy, window[:, :w, :t_cur], None if keys is None else keys[:, :t_cur], cfg,
             scorer=scorer, credit=credit, counters=counters,
         )
         keep = np.stack([sel.keep for sel in sels])
@@ -332,13 +343,12 @@ def run_schedule(
                 wall_time=time.perf_counter() - t0,
             )
         )
-        new_k, new_v = gather_cache(keys[:, :t_cur], values[:, :t_cur], keep)
         kept = keep.shape[1]
-        keys[:, :kept] = new_k
-        values[:, :kept] = new_v
+        if keys is not None:
+            keys[:, :kept] = keys[np.arange(heads)[:, None], keep]
         if cfg.ema_on and policy == "ams":
             for h in range(heads):
-                credit.remap(0, h, keep[h], kept)
+                credit.remap(h, keep[h], kept)
         w = 0
         t_cur = kept
 

@@ -196,6 +196,14 @@ def test_cmd_run_library_parity(tmp_path):
                       "workload_params": {"noise": 3}}]},
         {"entries": [{"name": "x", "policy": "ams", "workload": "low_region_adversarial",
                       "workload_params": {"region_len": -5}}]},
+        # json.dumps writes 10**400 as a 401-digit integer literal
+        {"entries": [{"name": "x", "policy": "streaming"},
+                     {"name": "y", "policy": "ams", "workload": "drifting_focus",
+                      "workload_params": {"drift": 10**400}}]},
+        {"entries": [{"name": "x", "policy": "ams", "workload": "low_region_adversarial",
+                      "workload_params": {"suppress": 10**400}}]},
+        {"entries": [{"name": "x", "policy": "ams", "workload": "heavy_hitter", "steps": 128,
+                      "workload_params": {"hitter_count": 129}}]},
     ],
     ids=["not_an_object", "unknown_config_key", "non_integer_steps", "seeds_not_ints",
          "entries_not_a_list", "entry_not_an_object", "config_not_an_object",
@@ -203,7 +211,9 @@ def test_cmd_run_library_parity(tmp_path):
          "string_t_keep", "string_bool", "float_int_field", "bool_int_field",
          "bool_float_field", "string_workload_param", "bool_workload_param",
          "later_entry_unread_workload_param", "workload_params_not_an_object",
-         "negative_hitter_count", "later_entry_noise_out_of_range", "negative_region_len"],
+         "negative_hitter_count", "later_entry_noise_out_of_range", "negative_region_len",
+         "later_entry_drift_too_big_for_a_float", "suppress_too_big_for_a_float",
+         "more_hitters_than_steps"],
 )
 def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     ppath = tmp_path / "plan.json"

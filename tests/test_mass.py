@@ -166,52 +166,52 @@ def test_normalize_mass_properties(u, eps):
 def test_ema_symmetric_fixed_point():
     store = EmaCreditStore(decay=0.9, mix=0.9)
     m = np.array([0.5, 0.5])
-    store.credit(0, 0, 2)
-    out = store.update_and_mix(0, 0, m)
-    np.testing.assert_allclose(store.credit(0, 0), [0.05, 0.05])
+    store.credit(0, 2)
+    out = store.update_and_mix(0, m)
+    np.testing.assert_allclose(store.credit(0), [0.05, 0.05])
     np.testing.assert_allclose(out, [0.5, 0.5])
 
 
 def test_ema_mix_degenerates_at_beta_one():
     store = EmaCreditStore(decay=0.5, mix=1.0)
-    c = store.credit(0, 0, 3)
+    c = store.credit(0, 3)
     c[:] = [0.2, 0.5, 0.3]
     m = np.array([0.7, 0.2, 0.1])
-    np.testing.assert_allclose(store.update_and_mix(0, 0, m), m)
+    np.testing.assert_allclose(store.update_and_mix(0, m), m)
 
 
 def test_ema_hand_evaluation():
     store = EmaCreditStore(decay=0.5, mix=0.5)
-    c = store.credit(0, 0, 2)
+    c = store.credit(0, 2)
     c[:] = [1.0, 0.0]
-    out = store.update_and_mix(0, 0, np.array([0.0, 1.0]))
-    np.testing.assert_allclose(store.credit(0, 0), [0.5, 0.5])
+    out = store.update_and_mix(0, np.array([0.0, 1.0]))
+    np.testing.assert_allclose(store.credit(0), [0.5, 0.5])
     np.testing.assert_allclose(out, [0.25, 0.75])
 
 
 def test_ema_disabled_is_identity():
     store = EmaCreditStore(decay=0.9, mix=0.9, enabled=False)
     m = np.array([0.9, 0.1])
-    np.testing.assert_array_equal(store.update_and_mix(0, 0, m), m)
+    np.testing.assert_array_equal(store.update_and_mix(0, m), m)
     assert not store._credit  # untouched
 
 
 def test_ema_length_mismatch():
     store = EmaCreditStore(decay=0.9, mix=0.9)
-    store.credit(0, 0, 4)
+    store.credit(0, 4)
     with pytest.raises(ContractViolation, match="misaligned"):
-        store.update_and_mix(0, 0, np.full(3, 1 / 3))
+        store.update_and_mix(0, np.full(3, 1 / 3))
 
 
 def test_ema_output_is_distribution_and_converges():
     rng = np.random.default_rng(7)
     store = EmaCreditStore(decay=0.9, mix=0.9)
-    store.credit(0, 0, 16)  # fresh store: zero credit
+    store.credit(0, 16)  # fresh store: zero credit
     m = rng.dirichlet(np.ones(16))
     for _ in range(50):
-        out = store.update_and_mix(0, 0, m)
+        out = store.update_and_mix(0, m)
         assert abs(out.sum() - 1.0) < 1e-9
-    credit = store.credit(0, 0)
+    credit = store.credit(0)
     assert np.abs(credit / credit.sum() - m).sum() < 1e-3
 
 
@@ -220,14 +220,14 @@ def test_ema_credit_decays_geometrically():
     # decay rate each stationary event
     rng = np.random.default_rng(8)
     store = EmaCreditStore(decay=0.9, mix=0.9)
-    c = store.credit(0, 0, 16)
+    c = store.credit(0, 16)
     c[:] = rng.dirichlet(np.ones(16))
     m = rng.dirichlet(np.ones(16))
     err0 = np.abs(c / c.sum() - m).sum()
     errors = []
     for _ in range(50):
-        store.update_and_mix(0, 0, m)
-        credit = store.credit(0, 0)
+        store.update_and_mix(0, m)
+        credit = store.credit(0)
         errors.append(np.abs(credit / credit.sum() - m).sum())
     assert errors[-1] <= 1.5 * (0.9**50) * err0
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
@@ -235,27 +235,27 @@ def test_ema_credit_decays_geometrically():
 
 def test_remap_credit_gather_and_zero():
     store = EmaCreditStore(decay=0.9, mix=0.9)
-    c = store.credit(0, 0, 3)
+    c = store.credit(0, 3)
     c[:] = [0.1, 0.2, 0.3]
-    store.remap(0, 0, np.array([0, 2]), 3)
-    np.testing.assert_allclose(store.credit(0, 0), [0.1, 0.3, 0.0])
+    store.remap(0, np.array([0, 2]), 3)
+    np.testing.assert_allclose(store.credit(0), [0.1, 0.3, 0.0])
 
 
 def test_remap_identity_and_empty():
     store = EmaCreditStore(decay=0.9, mix=0.9)
-    c = store.credit(0, 0, 4)
+    c = store.credit(0, 4)
     c[:] = [0.4, 0.3, 0.2, 0.1]
-    store.remap(0, 0, np.arange(4), 4)
-    np.testing.assert_allclose(store.credit(0, 0), [0.4, 0.3, 0.2, 0.1])
+    store.remap(0, np.arange(4), 4)
+    np.testing.assert_allclose(store.credit(0), [0.4, 0.3, 0.2, 0.1])
     with pytest.raises(ContractViolation):
-        store.remap(0, 0, np.array([], dtype=np.int64), 4)
+        store.remap(0, np.array([], dtype=np.int64), 4)
 
 
 def test_grow_to_pads_with_zeros():
     store = EmaCreditStore(decay=0.9, mix=0.9)
-    c = store.credit(0, 0, 2)
+    c = store.credit(0, 2)
     c[:] = [0.6, 0.4]
-    store.grow_to(0, 0, 4)
-    np.testing.assert_allclose(store.credit(0, 0), [0.6, 0.4, 0.0, 0.0])
+    store.grow_to(0, 4)
+    np.testing.assert_allclose(store.credit(0), [0.6, 0.4, 0.0, 0.0])
     with pytest.raises(ContractViolation):
-        store.grow_to(0, 0, 3)  # shrinking is remap's job
+        store.grow_to(0, 3)  # shrinking is remap's job

@@ -10,7 +10,6 @@ from masskv.selector import (
     baseline_fixed_chunk,
     baseline_global_topk,
     baseline_streaming,
-    gather_cache,
     in_segment_topk,
     select,
 )
@@ -54,22 +53,6 @@ def test_select_trim_never_removes_must_keep():
     keep = select(g, _one_segment(6), np.array([4]), np.array([0, 1]), 4)
     assert set([0, 1]).issubset(keep.tolist())
     assert len(keep) == 4
-
-
-def test_gather_cache_examples():
-    rng = np.random.default_rng(0)
-    k = rng.normal(size=(2, 5, 3))
-    v = rng.normal(size=(2, 5, 3))
-    keep = np.array([[0, 2], [1, 4]])
-    gk, gv = gather_cache(k, v, keep)
-    assert gk.shape == gv.shape == (2, 2, 3)
-    np.testing.assert_array_equal(gk[0], k[0, [0, 2]])
-    np.testing.assert_array_equal(gk[1], k[1, [1, 4]])
-    np.testing.assert_array_equal(gv[1], v[1, [1, 4]])
-    keep_all = np.arange(5)[None, :].repeat(2, axis=0)
-    gk, gv = gather_cache(k, v, keep_all)
-    np.testing.assert_array_equal(gk, k)
-    np.testing.assert_array_equal(gv, v)
 
 
 def test_baseline_streaming_examples():

@@ -10,6 +10,8 @@ from masskv.diagnostics import (
     metric_spatial_histogram,
     metric_wipeout_rate,
 )
+from masskv.engine import POLICIES
+from masskv.scorers import SCORERS
 from masskv.sim import (
     WORKLOADS,
     EventRecord,
@@ -112,7 +114,7 @@ def test_toy_decoder_determinism_and_rows():
     np.testing.assert_array_equal(q, again.project(again.w_q, xs))
     # the batched projection, also into a slice of a larger buffer, has the
     # bits of projecting each embedding alone
-    for w in (dec.w_q, dec.w_k, dec.w_v):
+    for w in (dec.w_q, dec.w_k):
         out = np.zeros((2, 9, 64))
         dec.project(w, xs, out=out[:, 2:7])
         for s, x in enumerate(xs):
@@ -191,6 +193,123 @@ def test_lazy_rows_change_nothing_and_build_only_what_events_read(monkeypatch, c
     assert eager == lazy
 
 
+def _record_projections(monkeypatch):
+    """Record each ToyDecoder built and, for each ``project`` call, the name
+    of its weight stack, the stack and the embeddings."""
+    built, calls = [], []
+    init, project = ToyDecoder.__init__, ToyDecoder.project
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_project(self, w, xs, out=None):
+        name = "w_q" if w is self.w_q else "w_k" if w is self.w_k else "other"
+        calls.append((name, w, xs.copy()))
+        return project(self, w, xs, out=out)
+
+    monkeypatch.setattr(ToyDecoder, "__init__", counted_init)
+    monkeypatch.setattr(ToyDecoder, "project", counted_project)
+    return built, calls
+
+
+def _event_keys(monkeypatch):
+    """The keys each compression event receives, in order."""
+    import masskv.sim
+
+    seen = []
+    compress = masskv.sim.compress_event
+
+    def recording(policy, rows, keys, cfg, **kwargs):
+        seen.append(None if keys is None else keys.copy())
+        return compress(policy, rows, keys, cfg, **kwargs)
+
+    monkeypatch.setattr(masskv.sim, "compress_event", recording)
+    return seen
+
+
+def _assert_keys_follow_the_ledger(trace, seen, calls):
+    """Row i of head h in an event's keys is the key of the token the ledger
+    puts at position i: the projection of that token's embedding."""
+    w_k = next(w for name, w, _ in calls if name == "w_k")
+    xs = np.concatenate([x for name, _, x in calls if name == "w_k"])
+    token_keys = np.einsum("hij,sj->hsi", w_k, xs)  # indexed by token id
+    assert len(seen) == len(trace.events)
+    kept = np.zeros((trace.kv_heads, 0), dtype=np.int64)
+    born = 0
+    for keys, ev in zip(seen, trace.events):
+        fresh = np.arange(born, ev.id_watermark)
+        ids = np.concatenate([kept, np.broadcast_to(fresh, (trace.kv_heads, fresh.size))], axis=1)
+        np.testing.assert_array_equal(keys, np.take_along_axis(token_keys, ids[..., None], axis=1))
+        np.testing.assert_array_equal(np.take_along_axis(ids, ev.keep_positions, 1), ev.kept_ids)
+        kept, born = ev.kept_ids, ev.id_watermark
+
+
+@pytest.mark.parametrize("scorer", ["expected", "recent", "constant"])
+def test_workload_run_without_a_key_scorer_projects_nothing(monkeypatch, scorer):
+    built, calls = _record_projections(monkeypatch)
+    seen = _event_keys(monkeypatch)
+    spec = WorkloadSpec("drifting_focus", steps=320, seed=2)
+    trace = run_schedule(spec, "ams", CFG.replace(interval=32), scorer=scorer, kv_heads=3, head_dim=8)
+    assert len(trace.events) == 8
+    assert (trace.kv_heads, trace.head_dim) == (3, 8)
+    assert built == [] and calls == []
+    assert seen == [None] * 8
+
+
+def test_keydiff_workload_run_projects_and_gathers_only_keys(monkeypatch):
+    built, calls = _record_projections(monkeypatch)
+    seen = _event_keys(monkeypatch)
+    spec = WorkloadSpec("heavy_hitter", steps=319, seed=2)
+    trace = run_schedule(spec, "ams", CFG.replace(interval=32), scorer="keydiff", kv_heads=3, head_dim=8)
+    assert len(built) == 1 and len(trace.events) == 7
+    # keys once per interval, never a query
+    assert [(name, len(xs)) for name, _, xs in calls] == [("w_k", 32)] * 9 + [("w_k", 31)]
+    _assert_keys_follow_the_ledger(trace, seen, calls)
+
+
+@pytest.mark.parametrize("case", LAZY_CASES.values(), ids=LAZY_CASES.keys())
+def test_decoder_run_projects_keys_per_interval_and_queries_for_built_rows(monkeypatch, case):
+    t_keep, interval, window, steps = case
+    cfg = CFG.replace(t_keep=t_keep, interval=interval, window=window, n_last=4)
+    dec = ToyDecoder(6, kv_heads=2, head_dim=8)
+    built, calls = _record_projections(monkeypatch)
+    seen = _event_keys(monkeypatch)
+    trace = run_schedule(dec, "ams", cfg, steps=steps, scorer="expected")
+    read = _rows_read(trace, window)
+    expected = []
+    for start in range(0, steps, interval):
+        n = min(interval, steps - start)
+        expected.append(("w_k", n))
+        rows = sum(start <= s < start + n for s in read)
+        if rows:
+            expected.append(("w_q", rows))
+    assert [(name, len(xs)) for name, _, xs in calls] == expected
+    assert built == []
+    _assert_keys_follow_the_ledger(trace, seen, calls)
+
+
+def test_a_key_cache_no_scorer_reads_changes_no_trace(monkeypatch):
+    import masskv.sim
+
+    cfg = CFG.replace(t_keep=48, interval=32, window=16, n_last=4)
+    runs = [
+        (WorkloadSpec(name, steps=160, seed=3), policy, scorer)
+        for name in WORKLOADS
+        for policy in POLICIES
+        for scorer in ("expected", "recent", "constant")
+    ]
+
+    def traces():
+        return [trace_to_dict(run_schedule(s, p, cfg, scorer=sc)) for s, p, sc in runs]
+
+    lean = traces()
+    monkeypatch.setattr(masskv.sim, "READS_KEYS", frozenset(SCORERS))
+    built, calls = _record_projections(monkeypatch)
+    assert traces() == lean
+    assert len(built) == len(runs) and {name for name, _, _ in calls} == {"w_k"}
+
+
 def test_run_schedule_with_decoder_source():
     dec = ToyDecoder(seed=9, kv_heads=2, head_dim=8)
     trace = run_schedule(dec, "ams", CFG, steps=256)
@@ -246,6 +365,13 @@ def test_workload_validation():
         ("low_region_adversarial", {"suppress": -1}),
         ("low_region_adversarial", {"suppress": float("inf")}),
         ("drifting_focus", {"phase": -float("inf")}),
+        # ints too big for a float, and more hitters than steps
+        ("heavy_hitter", {"hitter_count": 10**400}),
+        ("heavy_hitter", {"hitter_count": 11}),
+        ("drifting_focus", {"drift": 10**400}),
+        ("drifting_focus", {"width": 10**400}),
+        ("drifting_focus", {"phase": -(10**400)}),
+        ("low_region_adversarial", {"suppress": 10**400}),
     ]
     for name, params in out_of_range:
         with pytest.raises(ConfigError):
@@ -259,6 +385,8 @@ def test_workload_validation():
     for name, params in at_the_edges:
         run_schedule(WorkloadSpec(name, steps=160, seed=1, params=params), "ams", CFG)
     spec = WorkloadSpec("heavy_hitter", steps=10, params={"noise": 0, "hitter_count": np.int64(2)})
+    assert run_schedule(spec, "ams", CFG).steps == 10
+    spec = WorkloadSpec("heavy_hitter", steps=10, params={"hitter_count": 10})
     assert run_schedule(spec, "ams", CFG).steps == 10
 
 
