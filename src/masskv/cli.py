@@ -76,6 +76,8 @@ def load_plan(path, out_dir=None) -> ExperimentPlan:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"plan {path}: line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # an integer literal too long to convert
+            raise ConfigError(f"plan {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"plan {path}: top level must be a JSON object")
     items = raw.get("entries", [])

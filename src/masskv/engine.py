@@ -4,7 +4,7 @@ One compression event takes every head's recent attention rows, keys, and a
 scorer, aggregates usage once for all heads, and produces each head's keep
 set plus the allocation internals used by the diagnostics. Heads are
 independent; the loop here could fan out in parallel without sharing mutable
-state (the credit store is single-writer per head).
+state (each head writes only its own row of the credit array).
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ def ams_head_selection(
         return HeadSelection(keep=np.arange(total, dtype=np.int64))
     u = smooth(usage, cfg.smooth_kernel)
     m = normalize_mass(u, cfg.epsilon)
-    if credit is not None and cfg.ema_on:
-        credit.grow_to(head, total)
+    if credit is not None:
         m = credit.update_and_mix(head, m)
     segs = segment(m, cfg)
     quotas = compute_quotas(segs, m, t_rem, cfg)
@@ -87,7 +86,6 @@ def compress_event(
     cfg: CompressionConfig,
     scorer: str = "expected",
     credit: EmaCreditStore | None = None,
-    chunk_len: int = DEFAULT_CHUNK_LEN,
     counters: OpCounters | None = None,
 ) -> list[HeadSelection]:
     """Apply a policy to every head at one compression event.
@@ -127,6 +125,6 @@ def compress_event(
         if policy == "global_topk":
             keep = baseline_global_topk(g, must.indices, t_keep)
         else:
-            keep = baseline_fixed_chunk(g, chunk_len, must.indices, t_keep)
+            keep = baseline_fixed_chunk(g, DEFAULT_CHUNK_LEN, must.indices, t_keep)
         out.append(HeadSelection(keep=keep))
     return out

@@ -4,8 +4,8 @@ The attention rows of the last W decoding queries, one [W, T] block per head,
 are validated and averaged once per compression event for all heads (with
 causal max-padding for suffix positions that fewer queries could see), then
 smoothed with a short 1D average pool and normalized into a positive mass
-distribution over cache positions. An EMA credit store makes the mass
-history-aware across compression events.
+distribution over cache positions. An EMA credit array, [heads, capacity]
+and remapped by each event's keep gather, makes the mass history-aware.
 """
 
 from __future__ import annotations
@@ -98,70 +98,37 @@ def _normalize(v: np.ndarray) -> np.ndarray:
 
 
 class EmaCreditStore:
-    """Per-head decayed accumulation of past mass assignments.
+    """Decayed accumulation of past mass assignments: one [heads, capacity]
+    array whose row h, column i is the credit of head h's cache position i.
 
-    Credit follows surviving tokens across gathers (``remap``) and is mixed
+    Credit follows surviving tokens through the event's keep gather
+    (``remap``), so tokens born after an event start at zero, and is mixed
     into the current mass so that consistently useful regions keep their
-    budget share across events. Single-writer per head.
+    budget share across events.
     """
 
-    def __init__(self, decay: float, mix: float, enabled: bool = True):
+    def __init__(self, decay: float, mix: float, heads: int, capacity: int):
         if not (0.0 < decay < 1.0):
             raise ConfigError(f"ema decay must be in (0, 1), got {decay}")
         if not (0.0 <= mix <= 1.0):
             raise ConfigError(f"mass mix must be in [0, 1], got {mix}")
         self.decay = decay
         self.mix = mix
-        self.enabled = enabled
-        self._credit: dict[int, np.ndarray] = {}
-
-    def credit(self, head: int, length: int | None = None) -> np.ndarray:
-        """Current credit vector; created as zeros of ``length`` on first use."""
-        if head not in self._credit:
-            if length is None:
-                raise ContractViolation(f"no credit yet for head={head}")
-            self._credit[head] = np.zeros(length, dtype=np.float64)
-        return self._credit[head]
-
-    def grow_to(self, head: int, length: int) -> None:
-        """Zero-extend credit for tokens generated since the last event."""
-        cur = self.credit(head, length)
-        if length < cur.size:
-            raise ContractViolation("credit cannot shrink outside remap")
-        if length > cur.size:
-            self._credit[head] = np.concatenate(
-                [cur, np.zeros(length - cur.size, dtype=np.float64)]
-            )
+        self.credit = np.zeros((heads, capacity))
 
     def update_and_mix(self, head: int, m_cur: np.ndarray) -> np.ndarray:
-        """Decay-update the credit with the current mass and return the
-        history-aware mass used for segmentation and quotas.
-
-        Disabled stores return ``m_cur`` untouched and leave credit alone.
-        """
+        """Decay-update the credit of head ``head``'s first ``m_cur.size``
+        positions with the current mass and return the history-aware mass
+        used for segmentation and quotas."""
         m_cur = np.asarray(m_cur, dtype=np.float64)
-        if not self.enabled:
-            return m_cur
-        c = self.credit(head, m_cur.size)
-        if c.size != m_cur.size:
-            raise ContractViolation(
-                f"credit misaligned with cache: {c.size} vs {m_cur.size}"
-            )
-        c = self.decay * c + (1.0 - self.decay) * m_cur
-        self._credit[head] = c
+        c = self.credit[head, : m_cur.size]
+        c[:] = self.decay * c + (1.0 - self.decay) * m_cur
         mixed = self.mix * m_cur + (1.0 - self.mix) * _normalize(c)
         return _normalize(mixed)
 
-    def remap(self, head: int, keep: np.ndarray, new_len: int) -> None:
-        """Gather credit by the keep set; newborn positions start at zero."""
-        keep = np.asarray(keep, dtype=np.int64)
-        if keep.size == 0:
-            raise ContractViolation("keep set may not be empty when remapping credit")
-        if new_len < keep.size:
-            raise ContractViolation("new_len must be >= |keep|")
-        c = self.credit(head, int(keep.max()) + 1)
-        if keep.min() < 0 or keep.max() >= c.size:
-            raise ContractViolation("keep index out of range for credit")
-        fresh = np.zeros(new_len, dtype=np.float64)
-        fresh[: keep.size] = c[keep]
-        self._credit[head] = fresh
+    def remap(self, keep: np.ndarray) -> None:
+        """Gather every head's credit by its keep positions ``keep`` [heads,
+        k]; the positions from k on start at zero."""
+        k = keep.shape[1]
+        self.credit[:, :k] = np.take_along_axis(self.credit, keep, axis=1)
+        self.credit[:, k:] = 0.0

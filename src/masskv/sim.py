@@ -47,16 +47,18 @@ def _count(v) -> bool:
 
 
 # the values a parameter may take beyond converting to a finite float, which
-# every parameter must; hitter_count must also be <= steps
+# every parameter must; hitter_count must also be <= steps. A drift of 1 wraps
+# the cache once per step, and a suppress above 1 would boost the region.
 PARAM_RANGES = {
     "noise": ("in [0, 1)", lambda v: 0 <= v < 1),
     "hitter_count": ("an integer >= 0", _count),
     "hitter_weight": ("in [0, 1)", lambda v: 0 <= v < 1),
     "width": ("finite and > 0", lambda v: v > 0),
+    "drift": ("in [-1, 1]", lambda v: -1 <= v <= 1),
     "floor": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "region_start": ("an integer >= 0", _count),
     "region_len": ("an integer >= 0", _count),
-    "suppress": ("finite and >= 0", lambda v: v >= 0),
+    "suppress": ("in [0, 1]", lambda v: 0 <= v <= 1),
 }
 
 
@@ -273,11 +275,12 @@ def run_schedule(
     t_cur = 0
     ledger = TokenLedger.fresh(heads, 0)
     pending = 0
-    credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, enabled=cfg.ema_on)
     # the rows the next event reads, oldest first; entries past a row's
     # causal prefix are stale
     window = np.zeros((heads, min(cfg.window, capacity), capacity))
     w = 0
+    ema = policy == "ams" and cfg.ema_on
+    credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, heads, capacity) if ema else None
 
     trace = RunTrace(
         policy=policy,
@@ -346,9 +349,8 @@ def run_schedule(
         kept = keep.shape[1]
         if keys is not None:
             keys[:, :kept] = keys[np.arange(heads)[:, None], keep]
-        if cfg.ema_on and policy == "ams":
-            for h in range(heads):
-                credit.remap(h, keep[h], kept)
+        if credit is not None:
+            credit.remap(keep)
         w = 0
         t_cur = kept
 

@@ -202,6 +202,12 @@ def test_cmd_run_library_parity(tmp_path):
                       "workload_params": {"drift": 10**400}}]},
         {"entries": [{"name": "x", "policy": "ams", "workload": "low_region_adversarial",
                       "workload_params": {"suppress": 10**400}}]},
+        # finite floats, but past the documented bounds
+        {"entries": [{"name": "x", "policy": "streaming"},
+                     {"name": "y", "policy": "ams", "workload": "drifting_focus",
+                      "workload_params": {"drift": 1e308}}]},
+        {"entries": [{"name": "x", "policy": "ams", "workload": "low_region_adversarial",
+                      "workload_params": {"suppress": 1e308}}]},
         {"entries": [{"name": "x", "policy": "ams", "workload": "heavy_hitter", "steps": 128,
                       "workload_params": {"hitter_count": 129}}]},
     ],
@@ -213,11 +219,21 @@ def test_cmd_run_library_parity(tmp_path):
          "later_entry_unread_workload_param", "workload_params_not_an_object",
          "negative_hitter_count", "later_entry_noise_out_of_range", "negative_region_len",
          "later_entry_drift_too_big_for_a_float", "suppress_too_big_for_a_float",
+         "later_entry_drift_1e308", "suppress_1e308",
          "more_hitters_than_steps"],
 )
 def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     ppath = tmp_path / "plan.json"
     ppath.write_text(json.dumps(plan))
+    rc = main(["run", "--plan", str(ppath), "--t-keep", "32", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_with_an_integer_too_long_to_convert_exits_2(tmp_path, capsys):
+    ppath = tmp_path / "plan.json"
+    ppath.write_text('{"entries": [{"name": "x", "policy": "ams", "steps": %s}]}' % ("9" * 5000))
     rc = main(["run", "--plan", str(ppath), "--t-keep", "32", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "configuration error:" in capsys.readouterr().err

@@ -164,54 +164,37 @@ def test_normalize_mass_properties(u, eps):
 
 
 def test_ema_symmetric_fixed_point():
-    store = EmaCreditStore(decay=0.9, mix=0.9)
+    store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=2)
     m = np.array([0.5, 0.5])
-    store.credit(0, 2)
     out = store.update_and_mix(0, m)
-    np.testing.assert_allclose(store.credit(0), [0.05, 0.05])
+    np.testing.assert_allclose(store.credit[0], [0.05, 0.05])
     np.testing.assert_allclose(out, [0.5, 0.5])
 
 
 def test_ema_mix_degenerates_at_beta_one():
-    store = EmaCreditStore(decay=0.5, mix=1.0)
-    c = store.credit(0, 3)
-    c[:] = [0.2, 0.5, 0.3]
+    store = EmaCreditStore(decay=0.5, mix=1.0, heads=1, capacity=3)
+    store.credit[0] = [0.2, 0.5, 0.3]
     m = np.array([0.7, 0.2, 0.1])
     np.testing.assert_allclose(store.update_and_mix(0, m), m)
 
 
 def test_ema_hand_evaluation():
-    store = EmaCreditStore(decay=0.5, mix=0.5)
-    c = store.credit(0, 2)
-    c[:] = [1.0, 0.0]
-    out = store.update_and_mix(0, np.array([0.0, 1.0]))
-    np.testing.assert_allclose(store.credit(0), [0.5, 0.5])
+    # head 1 of a wider array: head 0 and the positions past the mass stay put
+    store = EmaCreditStore(decay=0.5, mix=0.5, heads=2, capacity=3)
+    store.credit[1, :2] = [1.0, 0.0]
+    out = store.update_and_mix(1, np.array([0.0, 1.0]))
+    np.testing.assert_allclose(store.credit, [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
     np.testing.assert_allclose(out, [0.25, 0.75])
-
-
-def test_ema_disabled_is_identity():
-    store = EmaCreditStore(decay=0.9, mix=0.9, enabled=False)
-    m = np.array([0.9, 0.1])
-    np.testing.assert_array_equal(store.update_and_mix(0, m), m)
-    assert not store._credit  # untouched
-
-
-def test_ema_length_mismatch():
-    store = EmaCreditStore(decay=0.9, mix=0.9)
-    store.credit(0, 4)
-    with pytest.raises(ContractViolation, match="misaligned"):
-        store.update_and_mix(0, np.full(3, 1 / 3))
 
 
 def test_ema_output_is_distribution_and_converges():
     rng = np.random.default_rng(7)
-    store = EmaCreditStore(decay=0.9, mix=0.9)
-    store.credit(0, 16)  # fresh store: zero credit
+    store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=16)  # zero credit
     m = rng.dirichlet(np.ones(16))
     for _ in range(50):
         out = store.update_and_mix(0, m)
         assert abs(out.sum() - 1.0) < 1e-9
-    credit = store.credit(0)
+    credit = store.credit[0]
     assert np.abs(credit / credit.sum() - m).sum() < 1e-3
 
 
@@ -219,43 +202,37 @@ def test_ema_credit_decays_geometrically():
     # from a perturbed start the normalized-credit error contracts at the
     # decay rate each stationary event
     rng = np.random.default_rng(8)
-    store = EmaCreditStore(decay=0.9, mix=0.9)
-    c = store.credit(0, 16)
+    store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=16)
+    c = store.credit[0]
     c[:] = rng.dirichlet(np.ones(16))
     m = rng.dirichlet(np.ones(16))
     err0 = np.abs(c / c.sum() - m).sum()
     errors = []
     for _ in range(50):
         store.update_and_mix(0, m)
-        credit = store.credit(0)
-        errors.append(np.abs(credit / credit.sum() - m).sum())
+        errors.append(np.abs(c / c.sum() - m).sum())
     assert errors[-1] <= 1.5 * (0.9**50) * err0
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
 
 def test_remap_credit_gather_and_zero():
-    store = EmaCreditStore(decay=0.9, mix=0.9)
-    c = store.credit(0, 3)
-    c[:] = [0.1, 0.2, 0.3]
-    store.remap(0, np.array([0, 2]), 3)
-    np.testing.assert_allclose(store.credit(0), [0.1, 0.3, 0.0])
+    store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=3)
+    store.credit[0] = [0.1, 0.2, 0.3]
+    store.remap(np.array([[0, 2]]))
+    np.testing.assert_allclose(store.credit, [[0.1, 0.3, 0.0]])
 
 
-def test_remap_identity_and_empty():
-    store = EmaCreditStore(decay=0.9, mix=0.9)
-    c = store.credit(0, 4)
-    c[:] = [0.4, 0.3, 0.2, 0.1]
-    store.remap(0, np.arange(4), 4)
-    np.testing.assert_allclose(store.credit(0), [0.4, 0.3, 0.2, 0.1])
-    with pytest.raises(ContractViolation):
-        store.remap(0, np.array([], dtype=np.int64), 4)
+def test_remap_identity():
+    store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=4)
+    store.credit[0] = [0.4, 0.3, 0.2, 0.1]
+    store.remap(np.arange(4)[None, :])
+    np.testing.assert_allclose(store.credit, [[0.4, 0.3, 0.2, 0.1]])
 
 
-def test_grow_to_pads_with_zeros():
-    store = EmaCreditStore(decay=0.9, mix=0.9)
-    c = store.credit(0, 2)
-    c[:] = [0.6, 0.4]
-    store.grow_to(0, 4)
-    np.testing.assert_allclose(store.credit(0), [0.6, 0.4, 0.0, 0.0])
-    with pytest.raises(ContractViolation):
-        store.grow_to(0, 3)  # shrinking is remap's job
+def test_remap_gathers_each_head_by_its_own_keep():
+    store = EmaCreditStore(decay=0.9, mix=0.9, heads=2, capacity=5)
+    store.credit[:] = [[0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0, 3.0, 4.0, 5.0]]
+    store.remap(np.array([[0, 3, 4], [1, 2, 4]]))
+    np.testing.assert_array_equal(
+        store.credit, [[0.1, 0.4, 0.5, 0.0, 0.0], [2.0, 3.0, 5.0, 0.0, 0.0]]
+    )

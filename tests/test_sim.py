@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masskv.core import ConfigError, default_config
 from masskv.diagnostics import (
@@ -337,6 +339,52 @@ def test_workload_rows_are_distributions():
             assert abs(sum(mass) - 1.0) < 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_whole_runs_keep_budget_sinks_and_token_ids(data):
+    t_keep = data.draw(st.integers(1, 40), label="t_keep")
+    min_seg_len = data.draw(st.integers(1, 8), label="min_seg_len")
+    cfg = default_config().replace(
+        t_keep=t_keep,
+        n_sink=data.draw(st.integers(0, t_keep), label="n_sink"),
+        n_last=data.draw(st.integers(0, 12), label="n_last"),
+        interval=data.draw(st.integers(1, 40), label="interval"),
+        window=data.draw(st.integers(1, 40), label="window"),
+        min_quota=data.draw(st.integers(0, 3), label="min_quota"),
+        min_seg_len=min_seg_len,
+        max_seg_len=data.draw(st.integers(min_seg_len, 32), label="max_seg_len"),
+        smooth_kernel=data.draw(st.sampled_from([1, 3, 5, 7]), label="smooth_kernel"),
+        ema_on=data.draw(st.booleans(), label="ema_on"),
+    )
+    workload = data.draw(st.sampled_from(WORKLOADS + ("toy_decoder",)), label="workload")
+    policy = data.draw(st.sampled_from(POLICIES), label="policy")
+    scorer = data.draw(st.sampled_from(sorted(SCORERS)), label="scorer")
+    steps = data.draw(st.integers(1, 160), label="steps")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+
+    def run():
+        source = (ToyDecoder(seed, kv_heads=2, head_dim=4) if workload == "toy_decoder"
+                  else WorkloadSpec(workload, steps=steps, seed=seed))
+        return run_schedule(source, policy, cfg, steps=steps, scorer=scorer,
+                            kv_heads=2, head_dim=4)
+
+    trace = run()
+    # the ids of the cache before each event: the last event's survivors,
+    # then every token born since, in arrival order
+    ids, watermark = np.zeros((2, 0), dtype=np.int64), 0
+    for ev in trace.events:
+        born = np.arange(watermark, ev.id_watermark)
+        pre_ids = np.concatenate([ids, np.tile(born, (2, 1))], axis=1)
+        assert pre_ids.shape[1] == ev.cache_len > t_keep
+        assert ev.keep_positions.shape == ev.kept_ids.shape == (2, t_keep)
+        assert (np.diff(ev.kept_ids, axis=1) > 0).all()
+        assert (ev.kept_ids[:, : cfg.n_sink] == np.arange(cfg.n_sink)).all()
+        kept = np.take_along_axis(pre_ids, ev.keep_positions, axis=1)
+        np.testing.assert_array_equal(kept, ev.kept_ids)
+        ids, watermark = ev.kept_ids, ev.id_watermark
+    assert trace_to_dict(run()) == trace_to_dict(trace)
+
+
 def test_workload_validation():
     with pytest.raises(ConfigError):
         WorkloadSpec("bogus", steps=10)
@@ -359,11 +407,15 @@ def test_workload_validation():
         ("drifting_focus", {"floor": 1.5}),
         ("drifting_focus", {"floor": -0.5}),
         ("drifting_focus", {"drift": float("nan")}),
+        ("drifting_focus", {"drift": -3.0}),
+        ("drifting_focus", {"drift": 1e308}),
         ("low_region_adversarial", {"region_start": -1}),
         ("low_region_adversarial", {"region_len": -5}),
         ("low_region_adversarial", {"region_len": 6.5}),
         ("low_region_adversarial", {"suppress": -1}),
         ("low_region_adversarial", {"suppress": float("inf")}),
+        ("low_region_adversarial", {"suppress": 1.5}),
+        ("low_region_adversarial", {"suppress": 1e308}),
         ("drifting_focus", {"phase": -float("inf")}),
         # ints too big for a float, and more hitters than steps
         ("heavy_hitter", {"hitter_count": 10**400}),
@@ -378,9 +430,10 @@ def test_workload_validation():
             WorkloadSpec(name, steps=10, params=params)
     at_the_edges = [
         ("heavy_hitter", {"hitter_count": 0, "hitter_weight": 0, "noise": 0}),
-        ("drifting_focus", {"floor": 0, "width": 1e-9, "drift": -3.0, "phase": 7}),
-        ("drifting_focus", {"floor": 1}),
+        ("drifting_focus", {"floor": 0, "width": 1e-9, "drift": -1.0, "phase": 7}),
+        ("drifting_focus", {"floor": 1, "drift": 1}),
         ("low_region_adversarial", {"region_start": 0, "region_len": 0, "suppress": 0}),
+        ("low_region_adversarial", {"suppress": 1}),
     ]
     for name, params in at_the_edges:
         run_schedule(WorkloadSpec(name, steps=160, seed=1, params=params), "ams", CFG)
