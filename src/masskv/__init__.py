@@ -14,6 +14,7 @@ from masskv.core import (
 )
 from masskv.mass import (
     EmaCreditStore,
+    UsageAccumulator,
     aggregate_usage,
     normalize_mass,
     smooth,

@@ -112,6 +112,8 @@ def _run_one(entry: PlanEntry, spec: WorkloadSpec, cfg: CompressionConfig, out_d
 
 def cmd_run(plan: ExperimentPlan, base_cfg: CompressionConfig, jobs: int = 1) -> int:
     # every entry's config and workload is checked before the first run starts
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     tasks = []
     for entry in plan.entries:
         cfg = base_cfg.replace(**entry.config)
@@ -136,6 +138,8 @@ def cmd_run(plan: ExperimentPlan, base_cfg: CompressionConfig, jobs: int = 1) ->
 
 
 def cmd_compact_check(n_cases: int, seed: int, corrupt: bool = False) -> int:
+    if n_cases < 1:
+        raise ConfigError(f"--cases must be >= 1, got {n_cases}")
     passed, failed = run_equivalence_fuzz(n_cases, seed, corrupt=corrupt)
     print(f"compact-check: {passed} passed, {failed} failed out of {n_cases}")
     return 0 if failed == 0 else 1

@@ -1,7 +1,7 @@
 """Per-event policy application across heads.
 
-One compression event takes every head's recent attention rows, keys, and a
-scorer, aggregates usage once for all heads, and produces each head's keep
+One compression event takes every head's accumulated attention rows, keys,
+and a scorer, folds usage once for all heads, and produces each head's keep
 set plus the allocation internals used by the diagnostics. Heads are
 independent; the loop here could fan out in parallel without sharing mutable
 state (each head writes only its own row of the credit array).
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from masskv.allocation import compute_quotas, must_keep, reconcile_budget
-from masskv.core import CompressionConfig, ConfigError
-from masskv.mass import EmaCreditStore, aggregate_usage, normalize_mass, smooth
+from masskv.core import CompressionConfig, ConfigError, ContractViolation
+from masskv.mass import EmaCreditStore, UsageAccumulator, normalize_mass, smooth
 from masskv.scorers import get_scorer
 from masskv.segmentation import SegmentSet, segment
 from masskv.selector import (
@@ -26,6 +26,10 @@ from masskv.selector import (
 )
 
 POLICIES = ("ams", "global_topk", "streaming", "fixed_chunk")
+
+# the policies whose events read attention rows and keys; a run builds
+# neither for the others
+READS_ROWS = frozenset({"ams", "global_topk", "fixed_chunk"})
 
 DEFAULT_CHUNK_LEN = 20
 
@@ -81,45 +85,52 @@ def ams_head_selection(
 
 def compress_event(
     policy: str,
-    rows: np.ndarray,
+    heads: int,
+    cache_len: int,
+    usage: UsageAccumulator | None,
     keys: np.ndarray | None,
     cfg: CompressionConfig,
     scorer: str = "expected",
     credit: EmaCreditStore | None = None,
     counters: OpCounters | None = None,
 ) -> list[HeadSelection]:
-    """Apply a policy to every head at one compression event.
+    """Apply a policy to every head of a ``cache_len``-token cache at one
+    compression event.
 
-    ``rows`` is [heads, w, T]: each head's attention rows of the last w
-    queries, ending at the cache tip (see ``aggregate_usage``). ``keys`` is
-    [heads, T, D], or None for scorers that do not need keys. Usage is
-    aggregated once for all heads, and the must-keep set, which depends
-    only on T, is computed once; ``streaming`` reads neither.
+    ``usage`` holds each head's attention rows of the last w queries, ending
+    at the cache tip, as [heads, t] rows; it is folded once for all heads,
+    and scorers read that fold and the newest row. A policy outside
+    ``READS_ROWS`` reads neither, and may take None. ``keys`` is [heads, T, D],
+    or None for scorers that do not need keys. The must-keep set, which
+    depends only on T, is computed once.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
     t_keep = cfg.require_t_keep()
     score_fn = get_scorer(scorer)
-    heads, w, total = rows.shape
-    if policy == "streaming":
-        keep = baseline_streaming(total, cfg.n_sink, t_keep)
+    if policy not in READS_ROWS:
+        keep = baseline_streaming(cache_len, cfg.n_sink, t_keep)
         return [HeadSelection(keep=keep) for _ in range(heads)]
-    usage = aggregate_usage(rows, cfg.window)
-    must, t_rem = reconcile_budget(must_keep(total, cfg), t_keep)
+    if usage is None or usage.newest is None or usage.newest.shape != (heads, cache_len):
+        raise ContractViolation(
+            f"{policy} reads [{heads}, {cache_len}] attention rows ending at the cache tip"
+        )
+    u = usage.fold()
+    must, t_rem = reconcile_budget(must_keep(cache_len, cfg), t_keep)
     out = []
     for h in range(heads):
-        g = score_fn(rows[h], usage[h], keys[h] if keys is not None else None)
+        g = score_fn(usage.newest[h], u[h], keys[h] if keys is not None else None)
         if policy == "ams":
-            sel = ams_head_selection(usage[h], g, must.indices, t_rem, cfg, credit, h)
+            sel = ams_head_selection(u[h], g, must.indices, t_rem, cfg, credit, h)
             if counters is not None and sel.segments is not None:
-                counters.cache_len += total
-                counters.usage_elems += w * total
-                counters.smooth_elems += total
-                counters.prefix_elems += total
+                counters.cache_len += cache_len
+                counters.usage_elems += usage.rows * cache_len
+                counters.smooth_elems += cache_len
+                counters.prefix_elems += cache_len
                 counters.cut_thresholds += int(np.floor(1.0 / cfg.segment_mass)) + 1
                 counters.segments += len(sel.segments)
                 counters.quota_entries += len(sel.segments)
-                counters.select_candidates += total
+                counters.select_candidates += cache_len
             out.append(sel)
             continue
         if policy == "global_topk":

@@ -1,11 +1,13 @@
 """Quality-mass construction from recent attention usage.
 
-The attention rows of the last W decoding queries, one [W, T] block per head,
-are validated and averaged once per compression event for all heads (with
-causal max-padding for suffix positions that fewer queries could see), then
-smoothed with a short 1D average pool and normalized into a positive mass
-distribution over cache positions. An EMA credit array, [heads, capacity]
-and remapped by each event's keep gather, makes the mass history-aware.
+The attention rows of the last W decoding queries are taken one [heads, t]
+row at a time as they are decoded: each is validated once and added into a
+running per-position sum. At a compression event the rows are folded once,
+for all heads, into their mean usage (with causal max-padding for suffix
+positions that fewer queries could see), which is then smoothed with a short
+1D average pool and normalized into a positive mass distribution over cache
+positions. An EMA credit array, [heads, capacity] and remapped by each
+event's keep gather, makes the mass history-aware.
 """
 
 from __future__ import annotations
@@ -13,6 +15,75 @@ from __future__ import annotations
 import numpy as np
 
 from masskv.core import ConfigError, ContractViolation
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Every [..., t] attention row is non-negative, not NaN and sums to 1."""
+    if not rows.min(initial=0.0) >= 0.0:
+        raise ContractViolation("attention rows must be non-negative and not NaN")
+    # the test np.allclose(sums, 1.0, atol=1e-6) makes, without its per-call cost
+    if not (np.abs(rows.sum(axis=-1, dtype=np.float64) - 1.0) <= 1e-6 + 1e-5).all():
+        raise ContractViolation("each attention row must sum to 1 over its causal prefix")
+
+
+class UsageAccumulator:
+    """Mean attention each position received from one event's queries, taken
+    one attention row at a time.
+
+    Rows come from consecutive decoding queries that end at the cache tip,
+    oldest first, each [..., t] for any leading axes (one per head, say). The
+    first row fixes ``cut``; row j must be cut + j long, since by causal
+    masking it saw only that prefix. A row is checked as it is added, then
+    its first ``cut`` entries join a running [..., cut] sum, its j later ones
+    are kept, and its maximum raises the pad. Memory is O(cut + w^2) per
+    leading index for w rows. ``newest`` is the last row added, which saw
+    every position.
+    """
+
+    def __init__(self):
+        self.rows = 0
+        self.newest = None
+        self._head = None  # running sum of the columns every row saw
+        self._tails = []  # row j's j entries past the cut
+        self._pad = None
+
+    def add(self, row) -> None:
+        row = np.asarray(row)
+        if row.ndim < 1 or row.shape[-1] < 1:
+            raise ContractViolation(f"a row must be [..., t] with t >= 1, got {row.shape}")
+        last = self.newest
+        if last is not None and row.shape != last.shape[:-1] + (last.shape[-1] + 1,):
+            raise ContractViolation(f"row {self.rows} must be [..., t + 1] after {last.shape}")
+        _check_rows(row)
+        if last is None:
+            self._head = np.zeros(row.shape)
+            self._pad = np.zeros(row.shape[:-1])
+        cut = self._head.shape[-1]
+        self._head += row[..., :cut]
+        self._tails.append(row[..., cut:].copy())
+        self._pad = np.maximum(self._pad, row.max(axis=-1))
+        self.newest = row
+        self.rows += 1
+
+    def fold(self) -> np.ndarray:
+        """The [..., T] mean usage of the rows added, T the newest row's length.
+
+        Positions seen by fewer rows have their missing observations padded
+        with the maximum score any row observed, so newly generated tokens
+        are not underestimated. The padded rows are summed one by one, oldest
+        first, and divided by their count: NumPy may sum a reduced axis
+        pairwise, which would change the last bits of the mean.
+        """
+        if self.newest is None:
+            raise ContractViolation("no attention rows to aggregate")
+        cut = self._head.shape[-1]
+        total = np.zeros(self.newest.shape)
+        total[..., :cut] = self._head
+        pad = self._pad[..., None]
+        for j, tail in enumerate(self._tails):
+            total[..., cut : cut + j] += tail
+            total[..., cut + j :] += pad
+        return total / self.rows
 
 
 def aggregate_usage(rows: np.ndarray, max_rows: int) -> np.ndarray:
@@ -24,12 +95,9 @@ def aggregate_usage(rows: np.ndarray, max_rows: int) -> np.ndarray:
     by causal masking row j saw only the first T - w + 1 + j positions;
     entries past that prefix are ignored. Every row must be non-negative
     and sum to 1 over its prefix; all w rows are checked, once, for every
-    leading index.
-
-    Positions seen by fewer queries have their missing observations padded
-    with the maximum score the aggregated rows observed, so newly generated
-    tokens are not underestimated. The padded rows are summed one by one,
-    oldest first, and divided by their count.
+    leading index. The newest ``max_rows`` rows go through a
+    ``UsageAccumulator``, whose fold (causal max-padding, oldest first) is
+    the result.
     """
     if max_rows < 1:
         raise ConfigError("aggregation window must be >= 1 row")
@@ -37,27 +105,14 @@ def aggregate_usage(rows: np.ndarray, max_rows: int) -> np.ndarray:
     if rows.ndim < 2 or not 1 <= rows.shape[-2] <= rows.shape[-1]:
         raise ContractViolation(f"rows must be [..., w, T] with 1 <= w <= T, got {rows.shape}")
     w, t = rows.shape[-2:]
-    cut = t - w + 1  # columns [0, cut) were seen by every row
-    seen = np.tri(w, w - 1, -1, dtype=bool)  # row j saw column cut + c iff c < j
-    head = rows[..., :cut]
-    tri = np.where(seen, rows[..., cut:], 0.0)
-    if not (head.min(initial=0.0) >= 0.0 and tri.min(initial=0.0) >= 0.0):
-        raise ContractViolation("attention rows must be non-negative and not NaN")
-    sums = head.sum(axis=-1, dtype=np.float64) + tri.sum(axis=-1, dtype=np.float64)
-    if not np.allclose(sums, 1.0, atol=1e-6):
-        raise ContractViolation("each attention row must sum to 1 over its causal prefix")
-    n = min(w, max_rows)
-    pad = np.maximum(
-        head[..., w - n :, :].max(axis=(-2, -1), initial=0.0),
-        tri[..., w - n :, :].max(axis=(-2, -1), initial=0.0),
-    )[..., None]
-    total = np.zeros(rows.shape[:-2] + (t,))
-    # one row at a time: NumPy may sum a reduced axis pairwise, which would
-    # change the last bits of the mean
-    for j in range(w - n, w):
-        total[..., :cut] += head[..., j, :]
-        total[..., cut:] += np.where(seen[j], tri[..., j, :], pad)
-    return total / n
+    acc = UsageAccumulator()
+    for j in range(w):
+        row = rows[..., j, : t - w + 1 + j]
+        if j < w - max_rows:
+            _check_rows(row)
+        else:
+            acc.add(row)
+    return acc.fold()
 
 
 def smooth(u: np.ndarray, kernel: int) -> np.ndarray:

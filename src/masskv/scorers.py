@@ -1,9 +1,9 @@
 """Plug-and-play token-importance scorers.
 
-Each scorer takes one head's recent attention rows, the usage the engine
-aggregated from them once per event, and its keys, and returns one real score
-per cache position (higher = keep). The selection stage only consumes the
-ordering, so any deterministic scorer can drive the pipeline.
+Each scorer takes one head's newest attention row, the usage the engine
+folded from its recent rows once per event, and its keys, and returns one
+real score per cache position (higher = keep). The selection stage only
+consumes the ordering, so any deterministic scorer can drive the pipeline.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ import numpy as np
 from masskv.core import ConfigError, ContractViolation
 
 
-def score_recent_attention(rows: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def score_recent_attention(newest: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Attention paid to each position by the single most recent query,
     which saw the whole cache."""
-    return np.array(rows[-1], dtype=np.float64)
+    return np.array(newest, dtype=np.float64)
 
 
 def score_expected_attention_proxy(
-    rows: np.ndarray, usage: np.ndarray, keys: np.ndarray
+    newest: np.ndarray, usage: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
     """Mean attention over the recent-query window with causal max-padding.
 
@@ -30,7 +30,7 @@ def score_expected_attention_proxy(
     return usage
 
 
-def score_key_diff(rows: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def score_key_diff(newest: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """L2 difference between consecutive key vectors; the first position
     copies its neighbor so sinks are neither favored nor punished here."""
     if keys is None:
@@ -47,9 +47,9 @@ def score_key_diff(rows: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.
     return g
 
 
-def score_constant(rows: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def score_constant(newest: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Flat scores of 1.0; useful as a tie-break and plumbing fixture."""
-    return np.ones(rows.shape[-1], dtype=np.float64)
+    return np.ones(newest.shape[-1], dtype=np.float64)
 
 
 SCORERS = {
@@ -65,9 +65,9 @@ READS_KEYS = frozenset({"keydiff"})
 
 
 def get_scorer(name: str):
-    """Scorer by registry name; each takes one head's (rows, usage, keys):
-    its [w, T] attention rows, the [T] usage aggregated from them, and its
-    [T, D] keys (None when the caller has none)."""
+    """Scorer by registry name; each takes one head's (newest, usage, keys):
+    the [T] attention row of its newest query, the [T] usage folded from its
+    recent rows, and its [T, D] keys (None when the caller has none)."""
     if name not in SCORERS:
         raise ConfigError(f"unknown scorer {name!r}; choose from {sorted(SCORERS)}")
     return SCORERS[name]

@@ -7,11 +7,13 @@ a RunTrace for the structural diagnostics. Attention rows come either from
 the decoder's own softmax attention or from a synthetic workload generator
 that shapes where attention mass sits. A run keeps no values, which nothing
 reads, and keeps keys, projected once per interval, only for the decoder's
-own attention or a scorer in ``READS_KEYS``. A row is built only if an event
-reads it: the rows of its last ``window`` steps since the previous event.
-Every other row is skipped; a workload generator advances its random stream
-past a skipped row, so the rows that are built have the same bits as when
-every row was.
+own attention or a scorer in ``READS_KEYS``; a policy outside ``READS_ROWS``
+reads no rows and no keys, so its run builds neither. A row is built only if
+an event reads it: the rows of its last ``window`` steps since the previous
+event. Every other row is skipped; a workload generator advances its random
+stream past a skipped row, so the rows that are built have the same bits as
+when every row was. Each built row goes straight into the event's
+``UsageAccumulator``; no run holds a window of rows.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from masskv.core import CompressionConfig, ConfigError, TokenLedger, advance_ledger
-from masskv.engine import OpCounters, compress_event
-from masskv.mass import EmaCreditStore
+from masskv.engine import READS_ROWS, OpCounters, compress_event
+from masskv.mass import EmaCreditStore, UsageAccumulator
 from masskv.scorers import READS_KEYS
 
 SCHEMA_VERSION = 1
@@ -238,29 +240,36 @@ def run_schedule(
     stream) or a ToyDecoder (its own attention rows). Events fire only when
     the cache actually exceeds the budget.
 
-    Keys are kept only in ToyDecoder mode or for a scorer in ``READS_KEYS``:
-    projected in one call per interval and gathered in place at each event.
-    A workload run with any other scorer builds no decoder and draws no
-    input embeddings. An event reads the attention rows of its last
+    Only a policy in ``READS_ROWS`` reads attention rows and keys; a run of
+    any other builds no row generator, query, key cache or embedding. For
+    the rest, keys are kept in ToyDecoder mode or for a scorer in
+    ``READS_KEYS``: projected in one call per interval and gathered in place
+    at each event. A workload run with any other scorer builds no decoder
+    and draws no input embeddings. An event reads the attention rows of its last
     ``window`` steps since the previous event, and only those rows are built;
     in ToyDecoder mode only their queries are projected, and in workload mode
     no query is. Rows no event reads, such as those of a tail with no event
-    after it, are skipped.
+    after it, are skipped. Each built row goes straight into the event's
+    ``UsageAccumulator``, a fresh one after each event.
     """
     t_keep = cfg.require_t_keep()
+    reads_rows = policy in READS_ROWS
+    decoder = row_gen = None
     if isinstance(source, WorkloadSpec):
         workload = source
         steps = steps if steps is not None else workload.steps
         seed = workload.seed
         heads, dim = kv_heads, head_dim
-        decoder = ToyDecoder(seed, kv_heads=heads, head_dim=dim) if scorer in READS_KEYS else None
-        row_gen = _WorkloadRows(workload, heads)
+        if reads_rows:
+            row_gen = _WorkloadRows(workload, heads)
+            if scorer in READS_KEYS:
+                decoder = ToyDecoder(seed, kv_heads=heads, head_dim=dim)
     elif isinstance(source, ToyDecoder):
         workload = None
-        decoder = source
-        seed = decoder.seed
-        heads, dim = decoder.kv_heads, decoder.head_dim
-        row_gen = None
+        seed = source.seed
+        heads, dim = source.kv_heads, source.head_dim
+        if reads_rows:
+            decoder = source
         if steps is None:
             raise ConfigError("steps is required when driving a ToyDecoder directly")
     else:
@@ -275,10 +284,7 @@ def run_schedule(
     t_cur = 0
     ledger = TokenLedger.fresh(heads, 0)
     pending = 0
-    # the rows the next event reads, oldest first; entries past a row's
-    # causal prefix are stale
-    window = np.zeros((heads, min(cfg.window, capacity), capacity))
-    w = 0
+    usage = UsageAccumulator()
     ema = policy == "ams" and cfg.ema_on
     credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, heads, capacity) if ema else None
 
@@ -302,7 +308,7 @@ def run_schedule(
         # The next event fires at the first interval end (step e, 0-based)
         # whose cache exceeds t_keep; it reads the rows of steps > e - window.
         e = (start + max(0, t_keep - t_cur)) // interval * interval + interval - 1
-        first = min(n, max(0, e - cfg.window + 1 - start)) if e < steps else n
+        first = min(n, max(0, e - cfg.window + 1 - start)) if e < steps and reads_rows else n
         if row_gen is not None:
             for i in range(first):
                 row_gen.skip(start + i, t_cur + i + 1)
@@ -311,10 +317,9 @@ def run_schedule(
         for i in range(first, n):
             t = t_cur + i + 1
             if row_gen is not None:
-                window[:, w, :t] = row_gen.rows(start + i, t)
+                usage.add(row_gen.rows(start + i, t))
             else:
-                window[:, w, :t] = decoder.attention_rows(qs[:, i - first], keys[:, :t])
-            w += 1
+                usage.add(decoder.attention_rows(qs[:, i - first], keys[:, :t]))
         t_cur += n
         pending += n
 
@@ -324,7 +329,7 @@ def run_schedule(
         t0 = time.perf_counter()
         counters = OpCounters()
         sels = compress_event(
-            policy, window[:, :w, :t_cur], None if keys is None else keys[:, :t_cur], cfg,
+            policy, heads, t_cur, usage, None if keys is None else keys[:, :t_cur], cfg,
             scorer=scorer, credit=credit, counters=counters,
         )
         keep = np.stack([sel.keep for sel in sels])
@@ -351,7 +356,7 @@ def run_schedule(
             keys[:, :kept] = keys[np.arange(heads)[:, None], keep]
         if credit is not None:
             credit.remap(keep)
-        w = 0
+        usage = UsageAccumulator()
         t_cur = kept
 
     _summarize(trace)

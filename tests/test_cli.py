@@ -141,6 +141,23 @@ def test_compact_check_cli():
     assert main(["compact-check", "--cases", "8", "--seed", "0", "--corrupt"]) == 1
 
 
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_compact_check_bad_case_count_exits_2(capsys, cases):
+    assert main(["compact-check", "--cases", cases]) == 2
+    out, err = capsys.readouterr()
+    assert "passed" not in out and "--cases must be >= 1" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_bad_job_count_exits_2_before_any_run(tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    rc = main(["run", "--t-keep", "32", "--interval", "64", "--steps", "128",
+               "--out", str(out), "--jobs", jobs])
+    assert rc == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_run_library_parity(tmp_path):
     # the CLI is a thin shell over the library path
     from masskv.sim import WorkloadSpec, run_schedule, trace_to_dict

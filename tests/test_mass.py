@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from masskv.core import ConfigError, ContractViolation
-from masskv.mass import EmaCreditStore, aggregate_usage, normalize_mass, smooth
+from masskv.mass import (
+    EmaCreditStore,
+    UsageAccumulator,
+    aggregate_usage,
+    normalize_mass,
+    smooth,
+)
 
 from reference import aggregate_usage_reference
 
@@ -111,6 +117,73 @@ def test_aggregate_usage_accepts_float32_rows():
     u = aggregate_usage(rows, 6)
     assert u.dtype == np.float64
     np.testing.assert_array_equal(u, aggregate_usage(rows.astype(np.float64), 6))
+
+
+def _accumulate(rows):
+    """A UsageAccumulator fed the [heads, w, t] causal rows one by one."""
+    w, t = rows.shape[-2:]
+    acc = UsageAccumulator()
+    for j in range(w):
+        acc.add(rows[:, j, : t - w + 1 + j])
+    return acc
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_accumulator_matches_aggregate_usage_and_reference(data):
+    # bit for bit, over every window up to w = t and float32 rows too
+    t = data.draw(st.integers(1, 24))
+    w = data.draw(st.integers(1, t))
+    heads = data.draw(st.integers(1, 3))
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = _causal_rows(rng, heads, w, t, dtype=dtype)
+    acc = _accumulate(rows)
+    assert acc.rows == w
+    np.testing.assert_array_equal(acc.newest, rows[:, -1])
+    u = acc.fold()
+    assert u.shape == (heads, t) and u.dtype == np.float64
+    np.testing.assert_array_equal(u, aggregate_usage(rows, w))
+    visible = t - w + 1 + np.arange(w)
+    for h in range(heads):
+        np.testing.assert_array_equal(u[h], aggregate_usage_reference(rows[h], visible, w))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+@pytest.mark.parametrize("where", [(0, 0, 0), (1, 2, 1), (0, 3, 6)])
+def test_accumulator_add_rejects_a_bad_entry(bad, where):
+    # (head, row, column): the first row, a column every row saw, and the
+    # newest row's last column
+    rows = _causal_rows(np.random.default_rng(3), 2, 4, 7)
+    head, j, col = where
+    rows[head, j, col] = bad
+    acc = UsageAccumulator()
+    for i in range(j):
+        acc.add(rows[:, i, : 4 + i])
+    with pytest.raises(ContractViolation):
+        acc.add(rows[:, j, : 4 + j])
+    assert acc.rows == j  # a rejected row is not added
+
+
+def test_accumulator_add_rejects_bad_sums_and_lengths():
+    rows = _causal_rows(np.random.default_rng(4), 2, 3, 6)
+    acc = UsageAccumulator()
+    with pytest.raises(ContractViolation):
+        acc.add(rows[:, 0, :4] * 0.9)  # sums to 0.9
+    for empty in (np.ones((2, 0)), np.float64(1.0)):
+        with pytest.raises(ContractViolation):
+            acc.add(empty)
+    acc.add(rows[:, 0, :4])
+    # the next row must be exactly one position longer, with the same heads
+    for wrong in (rows[:, 1, :4], np.full((2, 6), 1 / 6), rows[:1, 1, :5], rows[:, 1, :5].T):
+        with pytest.raises(ContractViolation):
+            acc.add(wrong)
+    assert acc.rows == 1
+    acc.add(rows[:, 1, :5])
+    acc.add(rows[:, 2, :6])
+    np.testing.assert_array_equal(acc.fold(), aggregate_usage(rows, 3))
+    with pytest.raises(ContractViolation):
+        UsageAccumulator().fold()
 
 
 def test_smooth_boundary_shrink():

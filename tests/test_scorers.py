@@ -14,13 +14,13 @@ from masskv.scorers import (
 
 def test_recent_attention_is_last_row():
     rows = np.array([[0.3, 0.7, 0.0], [0.1, 0.6, 0.3]])
-    g = score_recent_attention(rows, aggregate_usage(rows, 2), None)
+    g = score_recent_attention(rows[-1], aggregate_usage(rows, 2), None)
     np.testing.assert_allclose(g, [0.1, 0.6, 0.3])
 
 
 def test_recent_attention_uniform_ties():
     rows = np.full((1, 4), 0.25)
-    g = score_recent_attention(rows, aggregate_usage(rows, 1), None)
+    g = score_recent_attention(rows[-1], aggregate_usage(rows, 1), None)
     assert (g == 0.25).all()
 
 
@@ -35,7 +35,8 @@ def test_expected_proxy_equals_aggregate():
             raw = rng.random(vis) + 1e-3
             rows[j, :vis] = raw / raw.sum()
         usage = aggregate_usage(rows, 128)
-        np.testing.assert_array_equal(score_expected_attention_proxy(rows, usage, None), usage)
+        g = score_expected_attention_proxy(rows[-1], usage, None)
+        np.testing.assert_array_equal(g, usage)
 
 
 def test_expected_proxy_single_row_equals_recent():
@@ -44,8 +45,8 @@ def test_expected_proxy_single_row_equals_recent():
     rows = (raw / raw.sum())[None, :]
     usage = aggregate_usage(rows, 4)
     np.testing.assert_allclose(
-        score_expected_attention_proxy(rows, usage, None),
-        score_recent_attention(rows, usage, None),
+        score_expected_attention_proxy(rows[-1], usage, None),
+        score_recent_attention(rows[-1], usage, None),
     )
 
 
@@ -55,7 +56,7 @@ def test_expected_proxy_constant_rows():
     rows = np.tile([0.25, 0.25, 0.25, 0.25, 0.0, 0.0], (3, 1))
     usage = aggregate_usage(rows, 3)
     np.testing.assert_allclose(
-        score_expected_attention_proxy(rows, usage, None),
+        score_expected_attention_proxy(rows[-1], usage, None),
         [0.25, 0.25, 0.25, 0.25, 0.25 / 3, 0.5 / 3],
     )
 
@@ -69,19 +70,19 @@ def test_key_diff_examples():
 
 def test_score_constant():
     rows = np.full((1, 3), 1 / 3)
-    np.testing.assert_array_equal(score_constant(rows, aggregate_usage(rows, 1), None), [1.0] * 3)
-    assert score_constant(np.zeros((2, 5)), None, np.zeros((5, 4))).size == 5
+    np.testing.assert_array_equal(score_constant(rows[-1], aggregate_usage(rows, 1), None), [1.0] * 3)
+    assert score_constant(np.zeros(5), None, np.zeros((5, 4))).size == 5
 
 
 def test_registry_dispatch():
-    rows = np.full((1, 4), 0.25)
-    usage = aggregate_usage(rows, 1)
+    newest = np.full(4, 0.25)
+    usage = aggregate_usage(newest[None, :], 1)
     keys = np.arange(8, dtype=np.float64).reshape(4, 2)
-    np.testing.assert_allclose(get_scorer("recent")(rows, usage, keys), np.full(4, 0.25))
-    np.testing.assert_allclose(get_scorer("expected")(rows, usage, keys), np.full(4, 0.25))
-    np.testing.assert_allclose(get_scorer("constant")(rows, usage, keys), np.ones(4))
-    assert get_scorer("keydiff")(rows, usage, keys).shape == (4,)
+    np.testing.assert_allclose(get_scorer("recent")(newest, usage, keys), np.full(4, 0.25))
+    np.testing.assert_allclose(get_scorer("expected")(newest, usage, keys), np.full(4, 0.25))
+    np.testing.assert_allclose(get_scorer("constant")(newest, usage, keys), np.ones(4))
+    assert get_scorer("keydiff")(newest, usage, keys).shape == (4,)
     with pytest.raises(ConfigError):
         get_scorer("nope")
     with pytest.raises(ContractViolation):
-        get_scorer("keydiff")(rows, usage, None)
+        get_scorer("keydiff")(newest, usage, None)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from masskv.diagnostics import (
     metric_spatial_histogram,
     metric_wipeout_rate,
 )
-from masskv.engine import POLICIES
+from masskv.engine import POLICIES, READS_ROWS
+from masskv.mass import UsageAccumulator
 from masskv.scorers import SCORERS
 from masskv.sim import (
     WORKLOADS,
@@ -58,28 +60,34 @@ def test_every_policy_scorer_combination_runs(policy, scorer):
         assert ev.keep_positions.shape[1] == 48
 
 
+def _record_folds(monkeypatch):
+    """For each ``UsageAccumulator.fold``, the rows it holds and the shape of
+    the newest one."""
+    folds = []
+    fold = UsageAccumulator.fold
+
+    def counted(self):
+        folds.append((self.rows, self.newest.shape))
+        return fold(self)
+
+    monkeypatch.setattr(UsageAccumulator, "fold", counted)
+    return folds
+
+
 @pytest.mark.parametrize("policy", ["ams", "global_topk", "streaming", "fixed_chunk"])
 def test_usage_is_aggregated_once_per_event(monkeypatch, policy):
-    import masskv.engine
-
-    calls = []
-    aggregate = masskv.engine.aggregate_usage
-
-    def counted(rows, max_rows):
-        calls.append(rows.shape)
-        return aggregate(rows, max_rows)
-
-    monkeypatch.setattr(masskv.engine, "aggregate_usage", counted)
+    folds = _record_folds(monkeypatch)
     cfg = CFG.replace(interval=96, t_keep=48, window=32)
     for source in (WorkloadSpec("drifting_focus", steps=288, seed=5), ToyDecoder(5, kv_heads=3)):
-        calls.clear()
+        folds.clear()
         trace = run_schedule(source, policy, cfg, steps=288, kv_heads=3, scorer="expected")
         assert len(trace.events) == 3
         if policy == "streaming":
-            assert calls == []
+            assert folds == []
         else:
-            # one call per event, for all heads: [heads, w, T]
-            assert calls == [(3, 32, ev.cache_len) for ev in trace.events]
+            # one fold per event, for all heads, of the last 32 rows: the
+            # newest is [heads, T]
+            assert folds == [(32, (3, ev.cache_len)) for ev in trace.events]
 
 
 def test_no_events_when_steps_below_interval():
@@ -159,6 +167,16 @@ def _rows_read(trace, window):
     return steps
 
 
+def _folds_read(trace, window):
+    """Per event: the rows its last ``window`` steps since the previous event
+    give, and the [heads, T] shape of the newest."""
+    steps = [0] + [ev.step for ev in trace.events]
+    return [
+        (min(window, ev.step - prev), (trace.kv_heads, ev.cache_len))
+        for prev, ev in zip(steps, trace.events)
+    ]
+
+
 @pytest.mark.parametrize("case", LAZY_CASES.values(), ids=LAZY_CASES.keys())
 def test_lazy_rows_change_nothing_and_build_only_what_events_read(monkeypatch, case):
     t_keep, interval, window, steps = case
@@ -167,6 +185,7 @@ def test_lazy_rows_change_nothing_and_build_only_what_events_read(monkeypatch, c
     lazy = [trace_to_dict(run_schedule(spec, "ams", cfg, kv_heads=3)) for spec in specs]
 
     built, queried = [], []
+    folds = _record_folds(monkeypatch)
     rows, attention_rows = _WorkloadRows.rows, ToyDecoder.attention_rows
 
     def counted_rows(self, step, total):
@@ -181,13 +200,18 @@ def test_lazy_rows_change_nothing_and_build_only_what_events_read(monkeypatch, c
     monkeypatch.setattr(ToyDecoder, "attention_rows", counted_attention_rows)
     for spec in specs:
         built.clear()
+        folds.clear()
         trace = run_schedule(spec, "ams", cfg, kv_heads=3)
         assert built == _rows_read(trace, window)
+        # each event folds exactly the rows of its last window steps
+        assert folds == _folds_read(trace, window)
     queried.clear()
+    folds.clear()
     trace = run_schedule(ToyDecoder(6, kv_heads=2, head_dim=8), "ams", cfg, steps=steps)
     assert len(queried) == len(_rows_read(trace, window))
+    assert folds == _folds_read(trace, window)
     if case == LAZY_CASES["no_events"]:
-        assert trace.events == [] and queried == []
+        assert trace.events == [] and queried == [] and folds == []
 
     # drawing every skipped row and throwing it away gives the same traces
     monkeypatch.setattr(_WorkloadRows, "skip", lambda self, step, total: rows(self, step, total))
@@ -222,9 +246,9 @@ def _event_keys(monkeypatch):
     seen = []
     compress = masskv.sim.compress_event
 
-    def recording(policy, rows, keys, cfg, **kwargs):
+    def recording(policy, heads, cache_len, usage, keys, cfg, **kwargs):
         seen.append(None if keys is None else keys.copy())
-        return compress(policy, rows, keys, cfg, **kwargs)
+        return compress(policy, heads, cache_len, usage, keys, cfg, **kwargs)
 
     monkeypatch.setattr(masskv.sim, "compress_event", recording)
     return seen
@@ -309,7 +333,61 @@ def test_a_key_cache_no_scorer_reads_changes_no_trace(monkeypatch):
     monkeypatch.setattr(masskv.sim, "READS_KEYS", frozenset(SCORERS))
     built, calls = _record_projections(monkeypatch)
     assert traces() == lean
-    assert len(built) == len(runs) and {name for name, _, _ in calls} == {"w_k"}
+    # a policy that reads no rows builds no key cache either
+    assert len(built) == sum(p in READS_ROWS for _, p, _ in runs)
+    assert {name for name, _, _ in calls} == {"w_k"}
+
+
+def test_streaming_builds_no_rows_and_no_keys(monkeypatch):
+    import masskv.sim
+
+    cfg = CFG.replace(t_keep=48, interval=32, window=40, n_last=4)
+    runs = [
+        (WorkloadSpec(name, steps=170, seed=3), scorer)
+        for name in WORKLOADS
+        for scorer in ("expected", "keydiff")
+    ] + [(ToyDecoder(3, kv_heads=2, head_dim=8), scorer) for scorer in ("expected", "keydiff")]
+
+    def traces():
+        return [trace_to_dict(run_schedule(s, "streaming", cfg, steps=170, scorer=sc))
+                for s, sc in runs]
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"streaming called {name}")
+        return call
+
+    for cls, name in ((_WorkloadRows, "rows"), (_WorkloadRows, "skip"),
+                      (ToyDecoder, "project"), (ToyDecoder, "attention_rows")):
+        monkeypatch.setattr(cls, name, refuse(name))
+    lean = traces()
+    assert all(len(doc["events"]) == 4 for doc in lean)
+    # building every row and key a policy that reads them would gives the
+    # same traces
+    monkeypatch.undo()
+    monkeypatch.setattr(masskv.sim, "READS_ROWS", frozenset(POLICIES))
+    assert traces() == lean
+
+
+@pytest.mark.parametrize("mode", ["workload", "decoder"])
+def test_run_holds_no_window_of_attention_rows(mode):
+    # a [heads, window, t_keep + interval] float64 buffer of the rows an
+    # event reads would alone be twice the peak allowed here
+    heads, t_keep, interval = 2, 1024, 256
+    cfg = CFG.replace(t_keep=t_keep, interval=interval, window=interval)
+    steps = t_keep + 3 * interval
+    source = (WorkloadSpec("heavy_hitter", steps=steps, seed=1) if mode == "workload"
+              else ToyDecoder(1, kv_heads=heads, head_dim=16))
+    run_schedule(source, "ams", cfg.replace(t_keep=8, interval=8, window=8), steps=32,
+                 kv_heads=heads)  # imports what a run imports, outside the measurement
+    tracemalloc.start()
+    try:
+        trace = run_schedule(source, "ams", cfg, steps=steps, kv_heads=heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.events) == 3
+    assert peak < heads * interval * (t_keep + interval) * 8 / 2
 
 
 def test_run_schedule_with_decoder_source():
