@@ -8,29 +8,28 @@ smoothing, mass normalization, cumulative-mass cuts, and split/merge.
 
 import numpy as np
 
-from masskv import cut_points, default_config, normalize_mass, segment, smooth
-from masskv.mass import aggregate_usage
+from masskv import UsageAccumulator, cut_points, default_config, normalize_mass, segment, smooth
 
 T = 120
 W = 12
 rng = np.random.default_rng(0)
 
-# Build W recent attention rows over a cache of T positions, oldest first.
-# Two hot spots (around 25 and 80) soak up most of the attention; the causal
-# mask hides the newest positions from the older queries, so row j saw only
-# the first T - W + 1 + j positions and the rest of it is never read.
-rows = np.zeros((W, T))
+# Take W recent attention rows over a cache of T positions, oldest first,
+# each straight into a UsageAccumulator. Two hot spots (around 25 and 80)
+# soak up most of the attention; the causal mask hides the newest positions
+# from the older queries, so row j saw only the first T - W + 1 + j.
+acc = UsageAccumulator()
 for j in range(W):
     seen = T - W + 1 + j
     u = np.full(seen, 0.2)
     for center in (25, 80):
         u += 4.0 * np.exp(-0.5 * ((np.arange(seen) - center) / 5.0) ** 2)
     u *= 1.0 + 0.1 * rng.uniform(-1, 1, size=seen)
-    rows[j, :seen] = u / u.sum()
+    acc.add(u / u.sum())
 
 cfg = default_config().replace(min_seg_len=4, max_seg_len=32)
 
-usage = aggregate_usage(rows, cfg.window)
+usage = acc.fold()
 smoothed = smooth(usage, cfg.smooth_kernel)
 mass = normalize_mass(smoothed, cfg.epsilon)
 print(f"aggregated usage over last {W} queries; mass sums to {mass.sum():.12f}")

@@ -15,7 +15,6 @@ from masskv.core import (
 from masskv.mass import (
     EmaCreditStore,
     UsageAccumulator,
-    aggregate_usage,
     normalize_mass,
     smooth,
 )
@@ -39,7 +38,6 @@ from masskv.selector import (
     baseline_fixed_chunk,
     baseline_global_topk,
     baseline_streaming,
-    in_segment_topk,
     select,
 )
 from masskv.engine import POLICIES, compress_event

@@ -42,6 +42,10 @@ class PlanEntry:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # the name is a file stem inside the plan's out_dir
+        plain = isinstance(self.name, str) and Path(self.name).name == self.name
+        if not plain or not self.name or "\0" in self.name:
+            raise ConfigError(f"plan entry name {self.name!r} must be a plain file name")
         if self.policy not in POLICIES:
             raise ConfigError(f"plan entry {self.name!r}: unknown policy {self.policy!r}")
         if self.scorer not in SCORERS:
@@ -50,8 +54,9 @@ class PlanEntry:
             raise ConfigError(f"plan entry {self.name!r}: unknown workload {self.workload!r}")
         if not _is_int(self.steps):
             raise ConfigError(f"plan entry {self.name!r}: steps must be an integer")
-        if not (isinstance(self.seeds, list) and all(_is_int(s) for s in self.seeds)):
-            raise ConfigError(f"plan entry {self.name!r}: seeds must be a list of integers")
+        seeds = self.seeds
+        if not (isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds)):
+            raise ConfigError(f"plan entry {self.name!r}: seeds must be a non-empty integer list")
         if not isinstance(self.config, dict):
             raise ConfigError(f"plan entry {self.name!r}: config must be an object")
         unknown = set(self.config) - {f.name for f in dataclasses.fields(CompressionConfig)}
@@ -98,6 +103,8 @@ def load_plan(path, out_dir=None) -> ExperimentPlan:
         entries.append(PlanEntry(**item))
     if not entries:
         raise ConfigError("plan has no entries")
+    if not isinstance(raw.get("out_dir", ""), str):
+        raise ConfigError(f"plan {path}: out_dir must be a string")
     out = Path(out_dir) if out_dir else Path(raw.get("out_dir", "traces"))
     return ExperimentPlan(entries=entries, out_dir=out)
 

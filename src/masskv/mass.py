@@ -1,8 +1,9 @@
 """Quality-mass construction from recent attention usage.
 
 The attention rows of the last W decoding queries are taken one [heads, t]
-row at a time as they are decoded: each is validated once and added into a
-running per-position sum. At a compression event the rows are folded once,
+row at a time as they are decoded: a ``UsageAccumulator``, the only way to
+build usage, validates each once and adds it into a running per-position
+sum. At a compression event the rows are folded once,
 for all heads, into their mean usage (with causal max-padding for suffix
 positions that fewer queries could see), which is then smoothed with a short
 1D average pool and normalized into a positive mass distribution over cache
@@ -84,35 +85,6 @@ class UsageAccumulator:
             total[..., cut : cut + j] += tail
             total[..., cut + j :] += pad
         return total / self.rows
-
-
-def aggregate_usage(rows: np.ndarray, max_rows: int) -> np.ndarray:
-    """Mean attention each position received from the newest ``max_rows`` queries.
-
-    ``rows`` is [..., w, T]: the attention rows of the last w decoding
-    queries, oldest first, for any leading axes (one per head, say), with
-    1 <= w <= T. The queries are consecutive and end at the cache tip, so
-    by causal masking row j saw only the first T - w + 1 + j positions;
-    entries past that prefix are ignored. Every row must be non-negative
-    and sum to 1 over its prefix; all w rows are checked, once, for every
-    leading index. The newest ``max_rows`` rows go through a
-    ``UsageAccumulator``, whose fold (causal max-padding, oldest first) is
-    the result.
-    """
-    if max_rows < 1:
-        raise ConfigError("aggregation window must be >= 1 row")
-    rows = np.asarray(rows)
-    if rows.ndim < 2 or not 1 <= rows.shape[-2] <= rows.shape[-1]:
-        raise ContractViolation(f"rows must be [..., w, T] with 1 <= w <= T, got {rows.shape}")
-    w, t = rows.shape[-2:]
-    acc = UsageAccumulator()
-    for j in range(w):
-        row = rows[..., j, : t - w + 1 + j]
-        if j < w - max_rows:
-            _check_rows(row)
-        else:
-            acc.add(row)
-    return acc.fold()
 
 
 def smooth(u: np.ndarray, kernel: int) -> np.ndarray:

@@ -151,14 +151,18 @@ def compact(pool: BlockPool, table: BlockTable, keep: np.ndarray) -> BlockTable:
     return new_table
 
 
-def attention_readout(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Single-query softmax attention per head over a dense [H, T, D] cache."""
-    scale = 1.0 / np.sqrt(keys.shape[-1])
-    scores = np.einsum("htd,hd->ht", keys, query) * scale
+def attention_weights(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Single-query softmax attention per head over a dense [H, T, D] cache:
+    the package's one softmax, for the compaction readout and the toy decoder."""
+    scores = np.einsum("htd,hd->ht", keys, query) / np.sqrt(keys.shape[-1])
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores)
-    w /= w.sum(axis=-1, keepdims=True)
-    return np.einsum("ht,htd->hd", w, values)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def attention_readout(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The attention-weighted [H, D] sum of a dense cache's values."""
+    return np.einsum("ht,htd->hd", attention_weights(keys, query), values)
 
 
 def verify_compaction(

@@ -56,11 +56,6 @@ class SegmentSet:
         for a, b in zip(self.starts, self.ends):
             yield int(a), int(b)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SegmentSet) and np.array_equal(
-            self.boundaries, other.boundaries
-        )
-
     def masses(self, m: np.ndarray) -> np.ndarray:
         """Total mass inside each segment."""
         csum = np.concatenate([[0.0], np.cumsum(np.asarray(m, dtype=np.float64))])
@@ -85,11 +80,6 @@ def cut_points(m: np.ndarray, delta: float) -> np.ndarray:
     idx = np.searchsorted(csum, thresholds, side="left")
     cuts = idx[idx < m.size] + 1
     return np.unique(cuts)
-
-
-def _from_cuts(cuts: np.ndarray, total: int) -> SegmentSet:
-    boundaries = np.unique(np.concatenate([[0], cuts, [total]]))
-    return SegmentSet(boundaries.astype(np.int64))
 
 
 def split_long(segs: SegmentSet, max_len: int) -> SegmentSet:
@@ -152,6 +142,6 @@ def segment(m: np.ndarray, cfg: CompressionConfig) -> SegmentSet:
     if cfg.fixed_length_segments_on:
         return fixed_length_segments(m.size, cfg.max_seg_len)
     cuts = cut_points(m, cfg.segment_mass)
-    segs = _from_cuts(cuts, m.size)
+    segs = SegmentSet(np.unique(np.concatenate([[0], cuts, [m.size]])))
     segs = split_long(segs, cfg.max_seg_len)
     return merge_short(segs, cfg.min_seg_len)

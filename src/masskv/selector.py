@@ -1,5 +1,7 @@
 """Keep-set construction: in-segment top-k under quotas, plus the baseline
-whole-cache policies that share the same trim/backfill machinery.
+whole-cache policies. ``select`` is the one in-segment top-k: the
+fixed-chunk baseline is it over fixed-length chunks, with greedy quotas by
+chunk score, and global top-k is its trim/backfill step alone.
 
 Ranking is total and deterministic everywhere: higher score wins, ties go to
 the lower index. Trimming drops the worst-ranked non-must-keep entries;
@@ -11,24 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from masskv.core import ContractViolation
-from masskv.segmentation import SegmentSet
+from masskv.segmentation import SegmentSet, fixed_length_segments
 
 
 def _best_first(g: np.ndarray) -> np.ndarray:
     """Indices ordered best-to-worst: descending score, ascending index."""
     return np.lexsort((np.arange(g.size), -g))
-
-
-def in_segment_topk(g: np.ndarray, start: int, end: int, q: int) -> np.ndarray:
-    """The q highest-scoring positions inside [start, end), sorted ascending."""
-    length = end - start
-    if q > length:
-        raise ContractViolation(f"quota {q} exceeds segment length {length}")
-    if q == 0:
-        return np.zeros(0, dtype=np.int64)
-    local = g[start:end]
-    order = _best_first(local)
-    return np.sort(order[:q]) + start
 
 
 def _fit_to_budget(
@@ -108,30 +98,24 @@ def baseline_streaming(total: int, n_sink: int, t_keep: int) -> np.ndarray:
 def baseline_fixed_chunk(
     g: np.ndarray, chunk_len: int, must: np.ndarray, t_keep: int
 ) -> np.ndarray:
-    """Rank fixed chunks by summed score and keep tokens chunk by chunk,
-    truncating the straddling chunk by in-chunk score; then fit to budget."""
+    """Rank fixed chunks by summed score and keep whole chunks in rank order;
+    the straddling chunk gets what is left of the budget, picked by in-chunk
+    score through ``select``, which then fits the union with ``must``."""
     if chunk_len < 1:
         raise ContractViolation("chunk_len must be >= 1")
     g = np.asarray(g, dtype=np.float64)
     total = g.size
     if total <= t_keep:
         return np.arange(total, dtype=np.int64)
-    edges = list(range(0, total, chunk_len)) + [total]
-    chunks = list(zip(edges[:-1], edges[1:]))
-    sums = np.array([g[a:b].sum() for a, b in chunks])
-    order = np.lexsort((np.arange(len(chunks)), -sums))
-    picked = []
-    budget = min(t_keep, total)
-    for ci in order:
-        if budget == 0:
-            break
-        a, b = chunks[ci]
-        size = b - a
-        if size <= budget:
-            picked.append(np.arange(a, b, dtype=np.int64))
-            budget -= size
-        else:
-            picked.append(in_segment_topk(g, a, b, budget))
-            budget = 0
-    picked = np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
-    return _fit_to_budget(picked, np.asarray(must, dtype=np.int64), _best_first(g), t_keep)
+    segs = fixed_length_segments(total, chunk_len)
+    # each sum has the bits of g[a:b].sum(), so tied chunks rank alike
+    full = total - total % chunk_len
+    sums = g[:full].reshape(-1, chunk_len).sum(axis=1)
+    if full < total:
+        sums = np.append(sums, g[full:].sum())
+    ranked = _best_first(sums)
+    lengths = segs.lengths[ranked]
+    before = np.cumsum(lengths) - lengths
+    quotas = np.empty(len(segs), dtype=np.int64)
+    quotas[ranked] = np.clip(t_keep - before, 0, lengths)
+    return select(g, segs, quotas, must, t_keep)

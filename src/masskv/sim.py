@@ -30,6 +30,7 @@ import numpy as np
 from masskv.core import CompressionConfig, ConfigError, TokenLedger, advance_ledger
 from masskv.engine import READS_ROWS, OpCounters, compress_event
 from masskv.mass import EmaCreditStore, UsageAccumulator
+from masskv.paged import attention_weights
 from masskv.scorers import READS_KEYS
 
 SCHEMA_VERSION = 1
@@ -90,10 +91,7 @@ class ToyDecoder:
 
     def attention_rows(self, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Softmax attention of one query over the live cache, per head."""
-        scores = np.einsum("htd,hd->ht", keys, q) / np.sqrt(self.head_dim)
-        scores -= scores.max(axis=-1, keepdims=True)
-        w = np.exp(scores)
-        return w / w.sum(axis=-1, keepdims=True)
+        return attention_weights(keys, q)
 
 
 @dataclass

@@ -227,6 +227,15 @@ def test_cmd_run_library_parity(tmp_path):
                       "workload_params": {"suppress": 1e308}}]},
         {"entries": [{"name": "x", "policy": "ams", "workload": "heavy_hitter", "steps": 128,
                       "workload_params": {"hitter_count": 129}}]},
+        # traces that would land outside the out directory, have no name, or never be written
+        {"entries": [{"name": "../escaped", "policy": "streaming"}]},
+        {"entries": [{"name": "sub/x", "policy": "streaming"}]},
+        {"entries": [{"name": "", "policy": "streaming"}]},
+        {"entries": [{"name": 7, "policy": "streaming"}]},
+        {"entries": [{"name": "a\0b", "policy": "streaming"}]},
+        {"entries": [{"name": "x", "policy": "streaming", "seeds": []}]},
+        {"out_dir": 5, "entries": [{"name": "x", "policy": "streaming"}]},
+        {"out_dir": None, "entries": [{"name": "x", "policy": "streaming"}]},
     ],
     ids=["not_an_object", "unknown_config_key", "non_integer_steps", "seeds_not_ints",
          "entries_not_a_list", "entry_not_an_object", "config_not_an_object",
@@ -237,7 +246,9 @@ def test_cmd_run_library_parity(tmp_path):
          "negative_hitter_count", "later_entry_noise_out_of_range", "negative_region_len",
          "later_entry_drift_too_big_for_a_float", "suppress_too_big_for_a_float",
          "later_entry_drift_1e308", "suppress_1e308",
-         "more_hitters_than_steps"],
+         "more_hitters_than_steps", "name_escapes_out_dir", "name_with_a_directory",
+         "empty_name", "name_not_a_string", "name_with_a_nul", "no_seeds",
+         "out_dir_not_a_string", "out_dir_null"],
 )
 def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     ppath = tmp_path / "plan.json"
@@ -245,7 +256,7 @@ def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     rc = main(["run", "--plan", str(ppath), "--t-keep", "32", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "configuration error:" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
 
 
 def test_plan_with_an_integer_too_long_to_convert_exits_2(tmp_path, capsys):
@@ -255,3 +266,4 @@ def test_plan_with_an_integer_too_long_to_convert_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+

@@ -8,7 +8,6 @@ from masskv.core import ConfigError, ContractViolation
 from masskv.mass import (
     EmaCreditStore,
     UsageAccumulator,
-    aggregate_usage,
     normalize_mass,
     smooth,
 )
@@ -27,98 +26,6 @@ def _causal_rows(rng, heads, w, t, dtype=np.float64):
     return rows
 
 
-def test_aggregate_usage_padding_hand_trace():
-    # the older query could not see position 2; its missing observation is
-    # padded with the window max (0.5) before averaging
-    u = aggregate_usage(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), 8)
-    np.testing.assert_allclose(u, [0.35, 0.4, 0.5])
-
-
-def test_aggregate_usage_single_row_uniform():
-    np.testing.assert_allclose(aggregate_usage(np.full((1, 4), 0.25), 4), np.full(4, 0.25))
-
-
-def test_aggregate_usage_identical_rows():
-    # identical rows average to themselves on the columns every row saw;
-    # column 2, hidden from the older row, mixes in the pad (0.6)
-    rows = np.tile([0.6, 0.4, 0.0], (2, 1))
-    np.testing.assert_allclose(aggregate_usage(rows, 2), [0.6, 0.4, 0.3])
-
-
-def test_aggregate_usage_truncates_to_last_rows():
-    rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
-    np.testing.assert_allclose(aggregate_usage(rows, 1), rows[-1])
-    # the pad comes from the aggregated rows only: 0.5, not the oldest row's 1.0
-    np.testing.assert_allclose(aggregate_usage(rows, 2), [0.375, 0.375, 0.5])
-
-
-def test_aggregate_usage_rejects_bad_shapes():
-    for rows in (np.ones(3), np.ones((2, 1)), np.ones((0, 3)), np.ones((2, 3, 0))):
-        with pytest.raises(ContractViolation, match="1 <= w <= T"):
-            aggregate_usage(rows, 4)
-    with pytest.raises(ConfigError):
-        aggregate_usage(np.ones((1, 1)), 0)
-
-
-@settings(max_examples=100)
-@given(st.data())
-def test_aggregate_usage_matches_reference(data):
-    # per head, bit for bit: the reference sums the padded rows one by one,
-    # oldest first, and divides by their count; w = t covers a single
-    # column that every row saw
-    t = data.draw(st.integers(1, 24))
-    w = data.draw(st.sampled_from([t, *range(1, min(t, 6) + 1)]))
-    heads = data.draw(st.integers(1, 3))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = _causal_rows(rng, heads, w, t)
-    max_rows = data.draw(st.integers(1, w + 2))
-    u = aggregate_usage(rows, max_rows)
-    assert u.shape == (heads, t)
-    visible = t - w + 1 + np.arange(w)
-    for h in range(heads):
-        np.testing.assert_array_equal(
-            u[h], aggregate_usage_reference(rows[h], visible, max_rows)
-        )
-
-
-def test_aggregate_usage_validates_rows():
-    with pytest.raises(ContractViolation):
-        aggregate_usage(np.array([[0.5, 0.4, 0.0]]), 1)  # sums to 0.9
-    with pytest.raises(ContractViolation):
-        aggregate_usage(np.array([[1.2, -0.2]]), 1)
-    # every row is checked, also one older than the aggregated ones
-    with pytest.raises(ContractViolation):
-        aggregate_usage(np.array([[0.9, 0.0], [0.5, 0.5]]), 1)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
-@pytest.mark.parametrize("where", [(1, 0, 0), (1, 2, 5), (0, 3, 6)])
-def test_aggregate_usage_rejects_bad_visible_entry(bad, where):
-    # (head, row, column): a column all rows saw, then the unseen triangle's
-    # visible part, then the newest row's last column
-    rows = _causal_rows(np.random.default_rng(0), 2, 4, 7)
-    rows[where] = bad
-    with pytest.raises(ContractViolation):
-        aggregate_usage(rows, 4)
-
-
-@pytest.mark.parametrize("junk", [np.nan, np.inf, -np.inf, -5.0, 7.0])
-def test_aggregate_usage_ignores_unseen_triangle(junk):
-    rows = _causal_rows(np.random.default_rng(1), 2, 5, 9)
-    dirty = rows.copy()
-    for j in range(4):
-        dirty[:, j, 9 - 4 + j :] = junk
-    np.testing.assert_array_equal(aggregate_usage(dirty, 5), aggregate_usage(rows, 5))
-    np.testing.assert_array_equal(aggregate_usage(dirty, 3), aggregate_usage(rows, 3))
-
-
-def test_aggregate_usage_accepts_float32_rows():
-    rows = _causal_rows(np.random.default_rng(2), 3, 6, 40, dtype=np.float32)
-    u = aggregate_usage(rows, 6)
-    assert u.dtype == np.float64
-    np.testing.assert_array_equal(u, aggregate_usage(rows.astype(np.float64), 6))
-
-
 def _accumulate(rows):
     """A UsageAccumulator fed the [heads, w, t] causal rows one by one."""
     w, t = rows.shape[-2:]
@@ -128,10 +35,41 @@ def _accumulate(rows):
     return acc
 
 
+def _usage(rows):
+    """The folded usage of one head's [w, t] causal rows."""
+    return _accumulate(np.asarray(rows)[None]).fold()[0]
+
+
+def test_aggregate_usage_padding_hand_trace():
+    # the older query could not see position 2; its missing observation is
+    # padded with the window max (0.5) before averaging
+    u = _usage([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+    np.testing.assert_allclose(u, [0.35, 0.4, 0.5])
+
+
+def test_aggregate_usage_single_row_uniform():
+    np.testing.assert_allclose(_usage(np.full((1, 4), 0.25)), np.full(4, 0.25))
+
+
+def test_aggregate_usage_identical_rows():
+    # identical rows average to themselves on the columns every row saw;
+    # column 2, hidden from the older row, mixes in the pad (0.6)
+    rows = np.tile([0.6, 0.4, 0.0], (2, 1))
+    np.testing.assert_allclose(_usage(rows), [0.6, 0.4, 0.3])
+
+
+def test_aggregate_usage_rejects_bad_shapes():
+    for row in (np.float64(1.0), np.ones(0), np.ones((2, 0))):
+        with pytest.raises(ContractViolation, match="t >= 1"):
+            UsageAccumulator().add(row)
+
+
 @settings(max_examples=150)
 @given(st.data())
-def test_accumulator_matches_aggregate_usage_and_reference(data):
-    # bit for bit, over every window up to w = t and float32 rows too
+def test_aggregate_usage_matches_reference(data):
+    # per head, bit for bit: the reference sums the padded rows one by one,
+    # oldest first, and divides by their count; every window up to w = t
+    # (a single column that every row saw), float32 rows too
     t = data.draw(st.integers(1, 24))
     w = data.draw(st.integers(1, t))
     heads = data.draw(st.integers(1, 3))
@@ -143,10 +81,37 @@ def test_accumulator_matches_aggregate_usage_and_reference(data):
     np.testing.assert_array_equal(acc.newest, rows[:, -1])
     u = acc.fold()
     assert u.shape == (heads, t) and u.dtype == np.float64
-    np.testing.assert_array_equal(u, aggregate_usage(rows, w))
     visible = t - w + 1 + np.arange(w)
     for h in range(heads):
         np.testing.assert_array_equal(u[h], aggregate_usage_reference(rows[h], visible, w))
+
+
+def test_aggregate_usage_validates_rows():
+    with pytest.raises(ContractViolation):
+        _usage([[0.5, 0.4, 0.0]])  # sums to 0.9
+    with pytest.raises(ContractViolation):
+        _usage([[1.2, -0.2]])
+    # the oldest row is checked too: it sees position 0 only, and 0.9 there
+    with pytest.raises(ContractViolation):
+        _usage([[0.9, 0.0], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+@pytest.mark.parametrize("where", [(1, 0, 0), (1, 2, 5), (0, 3, 6)])
+def test_aggregate_usage_rejects_bad_visible_entry(bad, where):
+    # (head, row, column): a column all rows saw, then a column only the
+    # newer rows saw, then the newest row's last column
+    rows = _causal_rows(np.random.default_rng(0), 2, 4, 7)
+    rows[where] = bad
+    with pytest.raises(ContractViolation):
+        _accumulate(rows)
+
+
+def test_aggregate_usage_accepts_float32_rows():
+    rows = _causal_rows(np.random.default_rng(2), 3, 6, 40, dtype=np.float32)
+    u = _accumulate(rows).fold()
+    assert u.dtype == np.float64
+    np.testing.assert_array_equal(u, _accumulate(rows.astype(np.float64)).fold())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
@@ -170,9 +135,6 @@ def test_accumulator_add_rejects_bad_sums_and_lengths():
     acc = UsageAccumulator()
     with pytest.raises(ContractViolation):
         acc.add(rows[:, 0, :4] * 0.9)  # sums to 0.9
-    for empty in (np.ones((2, 0)), np.float64(1.0)):
-        with pytest.raises(ContractViolation):
-            acc.add(empty)
     acc.add(rows[:, 0, :4])
     # the next row must be exactly one position longer, with the same heads
     for wrong in (rows[:, 1, :4], np.full((2, 6), 1 / 6), rows[:1, 1, :5], rows[:, 1, :5].T):
@@ -181,7 +143,7 @@ def test_accumulator_add_rejects_bad_sums_and_lengths():
     assert acc.rows == 1
     acc.add(rows[:, 1, :5])
     acc.add(rows[:, 2, :6])
-    np.testing.assert_array_equal(acc.fold(), aggregate_usage(rows, 3))
+    np.testing.assert_array_equal(acc.fold(), _accumulate(rows).fold())
     with pytest.raises(ContractViolation):
         UsageAccumulator().fold()
 

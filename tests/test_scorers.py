@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from masskv.core import ConfigError, ContractViolation
-from masskv.mass import aggregate_usage
 from masskv.scorers import (
     get_scorer,
     score_constant,
@@ -11,16 +10,18 @@ from masskv.scorers import (
     score_recent_attention,
 )
 
+from test_mass import _usage
+
 
 def test_recent_attention_is_last_row():
     rows = np.array([[0.3, 0.7, 0.0], [0.1, 0.6, 0.3]])
-    g = score_recent_attention(rows[-1], aggregate_usage(rows, 2), None)
+    g = score_recent_attention(rows[-1], _usage(rows), None)
     np.testing.assert_allclose(g, [0.1, 0.6, 0.3])
 
 
 def test_recent_attention_uniform_ties():
     rows = np.full((1, 4), 0.25)
-    g = score_recent_attention(rows[-1], aggregate_usage(rows, 1), None)
+    g = score_recent_attention(rows[-1], _usage(rows), None)
     assert (g == 0.25).all()
 
 
@@ -34,7 +35,7 @@ def test_expected_proxy_equals_aggregate():
             vis = t - w + 1 + j
             raw = rng.random(vis) + 1e-3
             rows[j, :vis] = raw / raw.sum()
-        usage = aggregate_usage(rows, 128)
+        usage = _usage(rows)
         g = score_expected_attention_proxy(rows[-1], usage, None)
         np.testing.assert_array_equal(g, usage)
 
@@ -43,7 +44,7 @@ def test_expected_proxy_single_row_equals_recent():
     rng = np.random.default_rng(1)
     raw = rng.random(6)
     rows = (raw / raw.sum())[None, :]
-    usage = aggregate_usage(rows, 4)
+    usage = _usage(rows)
     np.testing.assert_allclose(
         score_expected_attention_proxy(rows[-1], usage, None),
         score_recent_attention(rows[-1], usage, None),
@@ -54,7 +55,7 @@ def test_expected_proxy_constant_rows():
     # three identical rows over a cache of 6: the two newest columns were
     # hidden from the older rows and mix in the pad (0.25)
     rows = np.tile([0.25, 0.25, 0.25, 0.25, 0.0, 0.0], (3, 1))
-    usage = aggregate_usage(rows, 3)
+    usage = _usage(rows)
     np.testing.assert_allclose(
         score_expected_attention_proxy(rows[-1], usage, None),
         [0.25, 0.25, 0.25, 0.25, 0.25 / 3, 0.5 / 3],
@@ -70,13 +71,13 @@ def test_key_diff_examples():
 
 def test_score_constant():
     rows = np.full((1, 3), 1 / 3)
-    np.testing.assert_array_equal(score_constant(rows[-1], aggregate_usage(rows, 1), None), [1.0] * 3)
+    np.testing.assert_array_equal(score_constant(rows[-1], _usage(rows), None), [1.0] * 3)
     assert score_constant(np.zeros(5), None, np.zeros((5, 4))).size == 5
 
 
 def test_registry_dispatch():
     newest = np.full(4, 0.25)
-    usage = aggregate_usage(newest[None, :], 1)
+    usage = _usage(newest[None, :])
     keys = np.arange(8, dtype=np.float64).reshape(4, 2)
     np.testing.assert_allclose(get_scorer("recent")(newest, usage, keys), np.full(4, 0.25))
     np.testing.assert_allclose(get_scorer("expected")(newest, usage, keys), np.full(4, 0.25))

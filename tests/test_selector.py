@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from masskv.allocation import compute_quotas, must_keep, reconcile_budget
 from masskv.core import ContractViolation, default_config
-from masskv.segmentation import SegmentSet, segment
+from masskv.segmentation import SegmentSet, fixed_length_segments, segment
 from masskv.selector import (
     baseline_fixed_chunk,
     baseline_global_topk,
     baseline_streaming,
-    in_segment_topk,
     select,
 )
 
@@ -22,17 +21,21 @@ def _one_segment(t):
 
 
 def test_in_segment_topk_examples():
+    # select over one segment, with the budget equal to its quota, is the
+    # segment's top-k
     g = np.array([1.0, 5.0, 3.0])
-    assert in_segment_topk(g, 0, 3, 2).tolist() == [1, 2]
-    assert in_segment_topk(g, 0, 3, 3).tolist() == [0, 1, 2]
-    assert in_segment_topk(g, 0, 3, 0).tolist() == []
+    none = np.zeros(0, dtype=np.int64)
+    assert select(g, _one_segment(3), np.array([2]), none, 2).tolist() == [1, 2]
+    assert select(g, _one_segment(3), np.array([3]), none, 3).tolist() == [0, 1, 2]
+    assert select(g, _one_segment(3), np.array([0]), none, 0).tolist() == []
     with pytest.raises(ContractViolation):
-        in_segment_topk(g, 0, 3, 4)
+        select(g, _one_segment(3), np.array([4]), none, 2)
 
 
 def test_in_segment_topk_tie_break_low_index():
     g = np.array([2.0, 2.0, 2.0, 2.0])
-    assert in_segment_topk(g, 0, 4, 2).tolist() == [0, 1]
+    none = np.zeros(0, dtype=np.int64)
+    assert select(g, _one_segment(4), np.array([2]), none, 2).tolist() == [0, 1]
 
 
 def test_select_hand_trace():
@@ -82,6 +85,47 @@ def test_baseline_fixed_chunk_behaviors():
 
     single = baseline_fixed_chunk(g, 1, must, 5)
     assert single.tolist() == topk.tolist()  # chunks of one token
+
+
+def _fixed_chunk_reference(g, chunk_len, must, t_keep):
+    """Chunks ranked by g[a:b].sum() (ties to the lower chunk), each given
+    all of what is left of the budget that it can hold, then union/fit."""
+    chunks = list(fixed_length_segments(len(g), chunk_len))
+    sums = [g[a:b].sum() for a, b in chunks]
+    ranked = sorted(range(len(chunks)), key=lambda i: (-sums[i], i))
+    quotas = [0] * len(chunks)
+    left = t_keep
+    for i in ranked:
+        a, b = chunks[i]
+        quotas[i] = min(b - a, left)
+        left -= quotas[i]
+    return select_reference(g, chunks, quotas, must, t_keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fixed_chunk_matches_naive_reference(data):
+    # normal, integer-valued and all-equal scores, which tie whole chunks,
+    # and chunks that reorder the same values, whose sums tie but for their
+    # last bits; chunk lengths that need not divide T, budgets up to past T
+    t = data.draw(st.integers(1, 70))
+    chunk_len = data.draw(st.integers(1, t + 3))
+    t_keep = data.draw(st.integers(1, t + 3))
+    kind = data.draw(st.sampled_from(["normal", "integer", "equal", "reordered"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        g = rng.normal(size=t)
+    elif kind == "integer":
+        g = rng.integers(0, 3, size=t).astype(np.float64)
+    elif kind == "equal":
+        g = np.full(t, data.draw(st.sampled_from([0.0, 0.1, 1 / 3, 1.0])))
+    else:
+        values = rng.random(chunk_len)
+        g = np.concatenate([rng.permutation(values) for _ in range(-(-t // chunk_len))])[:t]
+    n_must = data.draw(st.integers(0, min(t_keep, t)))
+    must = np.sort(rng.choice(t, size=n_must, replace=False)).astype(np.int64)
+    keep = baseline_fixed_chunk(g, chunk_len, must, t_keep)
+    assert keep.tolist() == _fixed_chunk_reference(g, chunk_len, must.tolist(), t_keep)
 
 
 def test_select_matches_naive_reference():
