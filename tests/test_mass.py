@@ -64,26 +64,29 @@ def test_aggregate_usage_rejects_bad_shapes():
             UsageAccumulator().add(row)
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(st.data())
 def test_aggregate_usage_matches_reference(data):
     # per head, bit for bit: the reference sums the padded rows one by one,
-    # oldest first, and divides by their count; every window up to w = t
-    # (a single column that every row saw), float32 rows too
+    # oldest first, and divides by their count; an accumulator fed only the
+    # last max_rows rows of a window aggregates just those, and w = t covers
+    # a single column that every row saw
     t = data.draw(st.integers(1, 24))
-    w = data.draw(st.integers(1, t))
+    w = data.draw(st.sampled_from([t, *range(1, min(t, 6) + 1)]))
     heads = data.draw(st.integers(1, 3))
-    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = _causal_rows(rng, heads, w, t, dtype=dtype)
-    acc = _accumulate(rows)
-    assert acc.rows == w
-    np.testing.assert_array_equal(acc.newest, rows[:, -1])
+    rows = _causal_rows(rng, heads, w, t)
+    max_rows = data.draw(st.integers(1, w))
+    acc = UsageAccumulator()
+    for j in range(w - max_rows, w):
+        acc.add(rows[:, j, : t - w + 1 + j])
     u = acc.fold()
-    assert u.shape == (heads, t) and u.dtype == np.float64
+    assert u.shape == (heads, t)
     visible = t - w + 1 + np.arange(w)
     for h in range(heads):
-        np.testing.assert_array_equal(u[h], aggregate_usage_reference(rows[h], visible, w))
+        np.testing.assert_array_equal(
+            u[h], aggregate_usage_reference(rows[h], visible, max_rows)
+        )
 
 
 def test_aggregate_usage_validates_rows():
@@ -112,6 +115,29 @@ def test_aggregate_usage_accepts_float32_rows():
     u = _accumulate(rows).fold()
     assert u.dtype == np.float64
     np.testing.assert_array_equal(u, _accumulate(rows.astype(np.float64)).fold())
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_accumulator_matches_aggregate_usage_and_reference(data):
+    # bit for bit, over every window up to w = t and float32 rows too: the
+    # fold equals the reference's aggregate usage and the float64 fold of
+    # the same rows
+    t = data.draw(st.integers(1, 24))
+    w = data.draw(st.integers(1, t))
+    heads = data.draw(st.integers(1, 3))
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = _causal_rows(rng, heads, w, t, dtype=dtype)
+    acc = _accumulate(rows)
+    assert acc.rows == w
+    np.testing.assert_array_equal(acc.newest, rows[:, -1])
+    u = acc.fold()
+    assert u.shape == (heads, t) and u.dtype == np.float64
+    np.testing.assert_array_equal(u, _accumulate(rows.astype(np.float64)).fold())
+    visible = t - w + 1 + np.arange(w)
+    for h in range(heads):
+        np.testing.assert_array_equal(u[h], aggregate_usage_reference(rows[h], visible, w))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
