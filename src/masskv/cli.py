@@ -92,11 +92,7 @@ def load_plan(path, out_dir=None) -> ExperimentPlan:
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ConfigError(f"plan entry {i}: must be a JSON object")
-        known = {
-            "name", "policy", "scorer", "workload", "workload_params",
-            "steps", "seeds", "config",
-        }
-        unknown = set(item) - known
+        unknown = set(item) - {f.name for f in dataclasses.fields(PlanEntry)}
         if unknown:
             raise ConfigError(f"plan entry {i}: unknown keys {sorted(unknown)}")
         item.setdefault("name", f"entry{i}")
@@ -130,8 +126,11 @@ def cmd_run(plan: ExperimentPlan, base_cfg: CompressionConfig, jobs: int = 1) ->
             for seed in entry.seeds
         ]
     plan.out_dir.mkdir(parents=True, exist_ok=True)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool starts all its workers at the first submit, so start no more than
+    # there are runs
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_one, entry, spec, cfg, str(plan.out_dir))
                 for entry, spec, cfg in tasks
@@ -147,6 +146,8 @@ def cmd_run(plan: ExperimentPlan, base_cfg: CompressionConfig, jobs: int = 1) ->
 def cmd_compact_check(n_cases: int, seed: int, corrupt: bool = False) -> int:
     if n_cases < 1:
         raise ConfigError(f"--cases must be >= 1, got {n_cases}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     passed, failed = run_equivalence_fuzz(n_cases, seed, corrupt=corrupt)
     print(f"compact-check: {passed} passed, {failed} failed out of {n_cases}")
     return 0 if failed == 0 else 1

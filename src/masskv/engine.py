@@ -44,20 +44,6 @@ class HeadSelection:
     mass: np.ndarray | None = None
 
 
-@dataclass
-class OpCounters:
-    """Rough operation counts per event, for the linear-cost bookkeeping."""
-
-    cache_len: int = 0
-    usage_elems: int = 0       # window rows x positions touched by aggregation
-    smooth_elems: int = 0
-    prefix_elems: int = 0      # prefix-sum work during segmentation
-    cut_thresholds: int = 0
-    segments: int = 0
-    quota_entries: int = 0     # segment-vector ops during allocation
-    select_candidates: int = 0
-
-
 def ams_head_selection(
     usage: np.ndarray,
     g: np.ndarray,
@@ -92,7 +78,6 @@ def compress_event(
     cfg: CompressionConfig,
     scorer: str = "expected",
     credit: EmaCreditStore | None = None,
-    counters: OpCounters | None = None,
 ) -> list[HeadSelection]:
     """Apply a policy to every head of a ``cache_len``-token cache at one
     compression event.
@@ -121,17 +106,7 @@ def compress_event(
     for h in range(heads):
         g = score_fn(usage.newest[h], u[h], keys[h] if keys is not None else None)
         if policy == "ams":
-            sel = ams_head_selection(u[h], g, must.indices, t_rem, cfg, credit, h)
-            if counters is not None and sel.segments is not None:
-                counters.cache_len += cache_len
-                counters.usage_elems += usage.rows * cache_len
-                counters.smooth_elems += cache_len
-                counters.prefix_elems += cache_len
-                counters.cut_thresholds += int(np.floor(1.0 / cfg.segment_mass)) + 1
-                counters.segments += len(sel.segments)
-                counters.quota_entries += len(sel.segments)
-                counters.select_candidates += cache_len
-            out.append(sel)
+            out.append(ams_head_selection(u[h], g, must.indices, t_rem, cfg, credit, h))
             continue
         if policy == "global_topk":
             keep = baseline_global_topk(g, must.indices, t_keep)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from masskv.core import CompressionConfig, ConfigError, TokenLedger, advance_ledger
-from masskv.engine import READS_ROWS, OpCounters, compress_event
+from masskv.engine import READS_ROWS, compress_event
 from masskv.mass import EmaCreditStore, UsageAccumulator
 from masskv.paged import attention_weights
 from masskv.scorers import READS_KEYS
@@ -108,6 +108,8 @@ class WorkloadSpec:
             raise ConfigError(f"unknown workload {self.name!r}; choose from {WORKLOADS}")
         if self.steps < 1:
             raise ConfigError("workload steps must be >= 1")
+        if isinstance(self.seed, bool) or not _count(self.seed):
+            raise ConfigError(f"workload seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("workload params must be a mapping of names to numbers")
         unknown = set(self.params) - {"noise", *WORKLOAD_PARAMS[self.name]}
@@ -197,10 +199,10 @@ class EventRecord:
     keep_positions: np.ndarray  # [heads, k], pre-compression coordinates
     kept_ids: np.ndarray        # [heads, k], original token ids
     id_watermark: int           # ids below this existed at this event
-    segments: list | None
-    quotas: list | None
-    mass: list | None
-    counters: dict
+    segments: list | None       # per head: boundaries [n_seg + 1]; AMS only
+    quotas: list | None         # per head: quotas [n_seg]; AMS only
+    mass: list | None           # per head: mass [cache_len]; AMS only
+    counters: dict              # always {}; schema 1 keeps the key
     wall_time: float
 
 
@@ -230,7 +232,6 @@ def run_schedule(
     scorer: str = "expected",
     kv_heads: int = 2,
     head_dim: int = 16,
-    record_mass: bool = True,
 ) -> RunTrace:
     """Decode ``steps`` tokens, compressing to ``t_keep`` every ``interval``.
 
@@ -325,10 +326,9 @@ def run_schedule(
             continue
 
         t0 = time.perf_counter()
-        counters = OpCounters()
         sels = compress_event(
             policy, heads, t_cur, usage, None if keys is None else keys[:, :t_cur], cfg,
-            scorer=scorer, credit=credit, counters=counters,
+            scorer=scorer, credit=credit,
         )
         keep = np.stack([sel.keep for sel in sels])
         ledger = advance_ledger(ledger, pending, keep)
@@ -342,10 +342,10 @@ def run_schedule(
                 keep_positions=keep,
                 kept_ids=ledger.ids,
                 id_watermark=ledger.next_id,
-                segments=[sel.segments.boundaries.tolist() for sel in sels] if is_ams else None,
-                quotas=[sel.quotas.tolist() for sel in sels] if is_ams else None,
-                mass=[sel.mass.tolist() for sel in sels] if (is_ams and record_mass) else None,
-                counters=vars(counters).copy(),
+                segments=[sel.segments.boundaries for sel in sels] if is_ams else None,
+                quotas=[sel.quotas for sel in sels] if is_ams else None,
+                mass=[sel.mass for sel in sels] if is_ams else None,
+                counters={},
                 wall_time=time.perf_counter() - t0,
             )
         )
@@ -387,9 +387,9 @@ def trace_to_dict(trace: RunTrace, include_timing: bool = False) -> dict:
             "keep_positions": ev.keep_positions.tolist(),
             "kept_ids": ev.kept_ids.tolist(),
             "id_watermark": ev.id_watermark,
-            "segments": ev.segments,
-            "quotas": ev.quotas,
-            "mass": ev.mass,
+            "segments": None if ev.segments is None else [b.tolist() for b in ev.segments],
+            "quotas": None if ev.quotas is None else [q.tolist() for q in ev.quotas],
+            "mass": None if ev.mass is None else [m.tolist() for m in ev.mass],
             "counters": ev.counters,
         }
         if include_timing:

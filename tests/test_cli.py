@@ -1,7 +1,9 @@
 import json
+from concurrent.futures import Future
 
 import pytest
 
+from masskv import cli
 from masskv.cli import ExperimentPlan, PlanEntry, cmd_run, load_plan, main
 from masskv.core import ConfigError, default_config
 
@@ -148,6 +150,12 @@ def test_compact_check_bad_case_count_exits_2(capsys, cases):
     assert "passed" not in out and "--cases must be >= 1" in err
 
 
+def test_compact_check_negative_seed_exits_2(capsys):
+    assert main(["compact-check", "--cases", "1", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert "passed" not in out and "--seed must be >= 0" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_run_bad_job_count_exits_2_before_any_run(tmp_path, capsys, jobs):
     out = tmp_path / "o"
@@ -156,6 +164,52 @@ def test_run_bad_job_count_exits_2_before_any_run(tmp_path, capsys, jobs):
     assert rc == 2
     assert "--jobs must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("policy", ["ams", "streaming"])
+def test_negative_seed_flag_exits_2_before_any_run(tmp_path, capsys, policy):
+    out = tmp_path / "o"
+    rc = main(["run", "--policy", policy, "--t-keep", "32", "--interval", "64",
+               "--steps", "128", "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seeds, jobs, pool_sizes",
+    [([0], "8", []), ([0, 1], "8", [2]), ([0, 1, 2], "2", [2]), ([0, 1], "1", [])],
+)
+def test_jobs_start_no_more_workers_than_runs(tmp_path, monkeypatch, seeds, jobs, pool_sizes):
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and runs each task inline; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    plan = {"entries": [{"name": "x", "policy": "streaming", "steps": 128, "seeds": seeds}]}
+    ppath = tmp_path / "plan.json"
+    ppath.write_text(json.dumps(plan))
+    out = tmp_path / "o"
+    rc = main(["run", "--plan", str(ppath), "--t-keep", "32", "--interval", "64",
+               "--out", str(out), "--jobs", jobs])
+    assert rc == 0
+    assert sizes == pool_sizes
+    assert sorted(p.name for p in out.glob("*.json")) == [f"x_seed{s}.json" for s in seeds]
 
 
 def test_cmd_run_library_parity(tmp_path):
@@ -236,6 +290,8 @@ def test_cmd_run_library_parity(tmp_path):
         {"entries": [{"name": "x", "policy": "streaming", "seeds": []}]},
         {"out_dir": 5, "entries": [{"name": "x", "policy": "streaming"}]},
         {"out_dir": None, "entries": [{"name": "x", "policy": "streaming"}]},
+        {"entries": [{"name": "x", "policy": "streaming"},
+                     {"name": "y", "policy": "streaming", "seeds": [0, -1]}]},
     ],
     ids=["not_an_object", "unknown_config_key", "non_integer_steps", "seeds_not_ints",
          "entries_not_a_list", "entry_not_an_object", "config_not_an_object",
@@ -248,7 +304,7 @@ def test_cmd_run_library_parity(tmp_path):
          "later_entry_drift_1e308", "suppress_1e308",
          "more_hitters_than_steps", "name_escapes_out_dir", "name_with_a_directory",
          "empty_name", "name_not_a_string", "name_with_a_nul", "no_seeds",
-         "out_dir_not_a_string", "out_dir_null"],
+         "out_dir_not_a_string", "out_dir_null", "later_entry_negative_seed"],
 )
 def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     ppath = tmp_path / "plan.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import masskv.paged as paged
-from masskv.core import ContractViolation
+from masskv.core import ContractViolation, default_config
 from masskv.paged import (
     AllocationError,
     BlockPool,
@@ -13,6 +13,7 @@ from masskv.paged import (
     run_equivalence_fuzz,
     verify_compaction,
 )
+from masskv.sim import WorkloadSpec, run_schedule
 
 
 def test_slots_examples():
@@ -228,3 +229,30 @@ def test_degenerate_single_token_cache():
     req = _filled_request(pool, 1, np.random.default_rng(0))
     table = compact(pool, req.table, np.array([[0]]))
     assert table.logical_len == 1
+
+
+@pytest.mark.parametrize("policy", ["ams", "global_topk", "streaming", "fixed_chunk"])
+@pytest.mark.parametrize("block_size", [1, 4, 16])
+def test_compaction_replays_the_keep_sets_of_a_run(policy, block_size):
+    # token id i is stored with key i and value -i, so after each event the
+    # paged cache must read back exactly the ids the run kept, per head
+    cfg = default_config().replace(t_keep=64, interval=32, window=32, n_last=8)
+    heads = 3
+    trace = run_schedule(
+        WorkloadSpec("drifting_focus", steps=512, seed=4), policy, cfg, kv_heads=heads
+    )
+    assert len(trace.events) == 14
+    capacity = cfg.t_keep + cfg.interval
+    pool = BlockPool(-(-capacity // block_size), block_size, kv_heads=heads, head_dim=1)
+    req = PagedRequest(pool)
+    prev_step = 0
+    for ev in trace.events:
+        for token in range(prev_step, ev.step):
+            req.append(np.full((heads, 1), float(token)), np.full((heads, 1), -float(token)))
+        prev_step = ev.step
+        if block_size == 1:
+            assert pool.num_free == 0
+        req.table = compact(pool, req.table, ev.keep_positions)
+        keys, values = req.dense_view()
+        np.testing.assert_array_equal(keys[..., 0], ev.kept_ids)
+        np.testing.assert_array_equal(values[..., 0], -ev.kept_ids)
