@@ -3,6 +3,7 @@
 Must-keep positions (sinks + recent suffix) are carved out first; the
 remaining budget is spread over segments with a per-segment floor and
 mass-proportional shares, rounded by largest-remainder so the total is exact.
+Every head's segments are apportioned together, each head its own budget.
 """
 
 from __future__ import annotations
@@ -57,90 +58,119 @@ def reconcile_budget(must: MustKeepSet, t_keep: int) -> tuple[MustKeepSet, int]:
     return must, t_keep - must.size
 
 
-def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
+def _sums(v: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Exact per-group sums of integers (or bools) ``v`` over CSR ``bounds``."""
+    csum = np.concatenate([[0], np.cumsum(v)])
+    return csum[bounds[1:]] - csum[bounds[:-1]]
+
+
+def _groups(size: int, total, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``total`` as one int64 entry per group, the CSR ``bounds`` (one group
+    of ``size`` entries by default), and the group of each entry."""
+    total = np.atleast_1d(np.asarray(total, dtype=np.int64))
+    bounds = np.array([0, size]) if bounds is None else np.asarray(bounds)
+    return total, bounds, np.repeat(np.arange(total.size), np.diff(bounds))
+
+
+def largest_remainder(weights: np.ndarray, total, bounds=None) -> np.ndarray:
     """Hamilton apportionment: integer shares proportional to weights summing
-    exactly to ``total``; remainder ties go to the lower index."""
+    exactly to ``total``; remainder ties go to the lower index. Given CSR
+    ``bounds``, group g (entries bounds[g]:bounds[g+1]) apportions total[g]
+    by itself, and every group is apportioned at once."""
     weights = np.asarray(weights, dtype=np.float64)
-    if total < 0:
+    total, bounds, owner = _groups(weights.size, total, bounds)
+    if (total < 0).any():
         raise ContractViolation("total must be >= 0")
     if weights.size == 0:
-        if total:
+        if total.any():
             raise ContractViolation("cannot apportion a positive total over nothing")
         return np.zeros(0, dtype=np.int64)
-    wsum = weights.sum()
-    if wsum <= 0.0:
-        weights = np.ones_like(weights)
-        wsum = weights.sum()
-    shares = total * weights / wsum
+    # one sum per group: np.add.reduceat adds in another order than .sum(),
+    # which would change the last bits of the shares
+    wsum = np.array([weights[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+    flat = wsum <= 0.0
+    if flat.any():
+        weights = np.where(flat[owner], 1.0, weights)
+        wsum = np.where(flat, np.diff(bounds), wsum)
+    shares = total[owner] * weights / wsum[owner]
     q = np.floor(shares).astype(np.int64)
-    deficit = total - q.sum()
-    if deficit > 0:
-        order = np.argsort(-(shares - q), kind="stable")
-        q[order[:deficit]] += 1
+    deficit = total - _sums(q, bounds)
+    # one stable sort keyed by (group, -remainder): each group's largest
+    # remainders come first, ties to the lower index
+    order = np.lexsort((-(shares - q), owner))
+    q[order[np.arange(q.size) - bounds[owner] < deficit[owner]]] += 1
     return q
 
 
-def apportion_with_caps(weights: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
+def apportion_with_caps(weights: np.ndarray, total, caps: np.ndarray, bounds=None) -> np.ndarray:
     """Largest-remainder shares clipped at caps, with clipped surplus
     redistributed to uncapped entries by weight. Each round either finishes
-    or saturates at least one entry, so at most len(weights) rounds run."""
+    or saturates at least one entry, so at most len(weights) rounds run.
+    Given CSR ``bounds``, each group apportions its own total, and every
+    round serves all groups that still have budget left."""
     weights = np.asarray(weights, dtype=np.float64)
     caps = np.asarray(caps, dtype=np.int64)
-    if total > caps.sum():
-        raise ContractViolation(f"total {total} exceeds capacity {caps.sum()}")
+    total, bounds, owner = _groups(caps.size, total, bounds)
+    room = _sums(caps, bounds)
+    if (total > room).any():
+        raise ContractViolation(f"total {total} exceeds capacity {room}")
     q = np.zeros_like(caps)
     active = caps > 0
-    remaining = int(total)
+    remaining = total
     for _ in range(caps.size):
-        if remaining == 0 or not active.any():
+        live = (remaining > 0) & (_sums(active, bounds) > 0)
+        if not live.any():
             break
-        alloc = largest_remainder(weights[active], remaining)
-        q[active] += alloc
+        sel = active & live[owner]
+        counts = _sums(sel, bounds)[live]
+        q[sel] += largest_remainder(weights[sel], remaining[live], np.append(0, np.cumsum(counts)))
         over = np.maximum(q - caps, 0)
         q -= over
-        remaining = int(over.sum())
+        remaining = _sums(over, bounds)
         active &= q < caps
     return q
 
 
 @dataclass
 class QuotaVector:
-    """Per-segment retention quotas with the bookkeeping behind them."""
+    """Per-segment retention quotas and the segment masses behind them."""
 
     quotas: np.ndarray
     seg_mass: np.ndarray
-    seg_len: np.ndarray
-    t_rem: int
-
-    def __post_init__(self):
-        if self.quotas.sum() != self.t_rem:
-            raise ContractViolation("quotas must sum to the remaining budget exactly")
-        if (self.quotas > self.seg_len).any() or (self.quotas < 0).any():
-            raise ContractViolation("quota outside [0, segment length]")
 
 
 def compute_quotas(
     segs: SegmentSet, m: np.ndarray, t_rem: int, cfg: CompressionConfig
 ) -> QuotaVector:
-    """Split ``t_rem`` retained-token slots across segments.
+    """Split ``t_rem`` retained-token slots across each head's segments, for
+    every head of ``segs`` at once; ``m`` is the [heads, T] (or, for one
+    head, [T]) mass.
 
     Every segment first gets min(min_quota, L_i); the rest is shared in
     proportion to segment mass (or length, in the unweighted ablation) with
     largest-remainder rounding and cap-and-redistribute to honor q_i <= L_i.
-    When the budget cannot even cover the floors, the floors themselves are
-    apportioned.
+    When a head's budget cannot even cover its floors, the floors themselves
+    are apportioned.
     """
     if t_rem < 0:
         raise ContractViolation("t_rem must be >= 0")
     lengths = segs.lengths
     masses = segs.masses(m)
-    if t_rem > lengths.sum():
-        raise ContractViolation(f"budget {t_rem} exceeds cache size {lengths.sum()}")
+    if t_rem > segs.total:
+        raise ContractViolation(f"budget {t_rem} exceeds cache size {segs.total}")
+    bounds, owner = segs.offsets, segs.owner
     floors = np.minimum(cfg.min_quota, lengths)
     weights = masses if cfg.mass_weighted_quotas_on else lengths.astype(np.float64)
-    if t_rem < floors.sum():
-        quotas = apportion_with_caps(floors.astype(np.float64), t_rem, floors)
-    else:
-        extra = apportion_with_caps(weights, t_rem - int(floors.sum()), lengths - floors)
-        quotas = floors + extra
-    return QuotaVector(quotas=quotas, seg_mass=masses, seg_len=lengths, t_rem=int(t_rem))
+    starved = (_sums(floors, bounds) > t_rem)[owner]
+    base = np.where(starved, 0, floors)
+    quotas = base + apportion_with_caps(
+        np.where(starved, floors, weights),
+        t_rem - _sums(base, bounds),
+        np.where(starved, floors, lengths - floors),
+        bounds,
+    )
+    if (_sums(quotas, bounds) != t_rem).any():
+        raise ContractViolation("quotas must sum to the remaining budget exactly")
+    if (quotas > lengths).any() or (quotas < 0).any():
+        raise ContractViolation("quota outside [0, segment length]")
+    return QuotaVector(quotas=quotas, seg_mass=masses)

@@ -1,15 +1,15 @@
 """Per-event policy application across heads.
 
 One compression event takes every head's accumulated attention rows, keys,
-and a scorer, folds usage once for all heads, and produces each head's keep
-set plus the allocation internals used by the diagnostics. Heads are
-independent; the loop here could fan out in parallel without sharing mutable
-state (each head writes only its own row of the credit array).
+and a scorer, and produces each head's keep set plus the allocation
+internals used by the diagnostics. Every stage runs once per event over
+[heads, T] arrays: usage is folded, scored, smoothed, normalized and mixed
+with the EMA credit row-wise, all heads are segmented into one flat
+``SegmentSet``, their quotas are apportioned together, and one ``select``
+ranks every row.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,41 +34,6 @@ READS_ROWS = frozenset({"ams", "global_topk", "fixed_chunk"})
 DEFAULT_CHUNK_LEN = 20
 
 
-@dataclass
-class HeadSelection:
-    """Outcome of one compression event for a single head."""
-
-    keep: np.ndarray
-    segments: SegmentSet | None = None
-    quotas: np.ndarray | None = None
-    mass: np.ndarray | None = None
-
-
-def ams_head_selection(
-    usage: np.ndarray,
-    g: np.ndarray,
-    must: np.ndarray,
-    t_rem: int,
-    cfg: CompressionConfig,
-    credit: EmaCreditStore | None = None,
-    head: int = 0,
-) -> HeadSelection:
-    """Allocate-then-score selection for one head from its aggregated usage,
-    given the event's reconciled must-keep indices and remaining budget."""
-    t_keep = cfg.require_t_keep()
-    total = g.size
-    if total <= t_keep:
-        return HeadSelection(keep=np.arange(total, dtype=np.int64))
-    u = smooth(usage, cfg.smooth_kernel)
-    m = normalize_mass(u, cfg.epsilon)
-    if credit is not None:
-        m = credit.update_and_mix(head, m)
-    segs = segment(m, cfg)
-    quotas = compute_quotas(segs, m, t_rem, cfg)
-    keep = select(g, segs, quotas.quotas, must, t_keep)
-    return HeadSelection(keep=keep, segments=segs, quotas=quotas.quotas, mass=m)
-
-
 def compress_event(
     policy: str,
     heads: int,
@@ -78,16 +43,20 @@ def compress_event(
     cfg: CompressionConfig,
     scorer: str = "expected",
     credit: EmaCreditStore | None = None,
-) -> list[HeadSelection]:
+) -> tuple[np.ndarray, SegmentSet | None, np.ndarray | None, np.ndarray | None]:
     """Apply a policy to every head of a ``cache_len``-token cache at one
     compression event.
 
     ``usage`` holds each head's attention rows of the last w queries, ending
     at the cache tip, as [heads, t] rows; it is folded once for all heads,
-    and scorers read that fold and the newest row. A policy outside
+    and the scorer reads that fold and the newest rows. A policy outside
     ``READS_ROWS`` reads neither, and may take None. ``keys`` is [heads, T, D],
     or None for scorers that do not need keys. The must-keep set, which
     depends only on T, is computed once.
+
+    Returns the [heads, k] keep positions and, for an AMS event that
+    compresses, the segments of all heads, their flat quotas and the
+    [heads, T] history-aware mass; the last three are None otherwise.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -95,22 +64,23 @@ def compress_event(
     score_fn = get_scorer(scorer)
     if policy not in READS_ROWS:
         keep = baseline_streaming(cache_len, cfg.n_sink, t_keep)
-        return [HeadSelection(keep=keep) for _ in range(heads)]
+        return np.tile(keep, (heads, 1)), None, None, None
     if usage is None or usage.newest is None or usage.newest.shape != (heads, cache_len):
         raise ContractViolation(
             f"{policy} reads [{heads}, {cache_len}] attention rows ending at the cache tip"
         )
     u = usage.fold()
     must, t_rem = reconcile_budget(must_keep(cache_len, cfg), t_keep)
-    out = []
-    for h in range(heads):
-        g = score_fn(usage.newest[h], u[h], keys[h] if keys is not None else None)
-        if policy == "ams":
-            out.append(ams_head_selection(u[h], g, must.indices, t_rem, cfg, credit, h))
-            continue
-        if policy == "global_topk":
-            keep = baseline_global_topk(g, must.indices, t_keep)
-        else:
-            keep = baseline_fixed_chunk(g, DEFAULT_CHUNK_LEN, must.indices, t_keep)
-        out.append(HeadSelection(keep=keep))
-    return out
+    g = score_fn(usage.newest, u, keys)
+    if policy == "global_topk":
+        return baseline_global_topk(g, must.indices, t_keep), None, None, None
+    if policy == "fixed_chunk":
+        return baseline_fixed_chunk(g, DEFAULT_CHUNK_LEN, must.indices, t_keep), None, None, None
+    if cache_len <= t_keep:
+        return np.tile(np.arange(cache_len), (heads, 1)), None, None, None
+    m = normalize_mass(smooth(u, cfg.smooth_kernel), cfg.epsilon)
+    if credit is not None:
+        m = credit.update_and_mix(m)
+    segs = segment(m, cfg)
+    quotas = compute_quotas(segs, m, t_rem, cfg).quotas
+    return select(g, segs, quotas, must.indices, t_keep), segs, quotas, m

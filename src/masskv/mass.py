@@ -71,24 +71,28 @@ class UsageAccumulator:
 
         Positions seen by fewer rows have their missing observations padded
         with the maximum score any row observed, so newly generated tokens
-        are not underestimated. The padded rows are summed one by one, oldest
-        first, and divided by their count: NumPy may sum a reduced axis
-        pairwise, which would change the last bits of the mean.
+        are not underestimated. The padded rows past the cut are stacked
+        oldest first into one [w, ..., w - 1] triangle and summed along its
+        first axis, which NumPy adds one row at a time in that order, then
+        divided by their count. A pairwise sum, which NumPy may use along the
+        innermost axis, would change the last bits of the mean.
         """
         if self.newest is None:
             raise ContractViolation("no attention rows to aggregate")
         cut = self._head.shape[-1]
-        total = np.zeros(self.newest.shape)
+        total = np.empty(self.newest.shape)
         total[..., :cut] = self._head
-        pad = self._pad[..., None]
+        tri = np.empty((self.rows,) + self._pad.shape + (self.rows - 1,))
+        tri[...] = self._pad[..., None]
         for j, tail in enumerate(self._tails):
-            total[..., cut : cut + j] += tail
-            total[..., cut + j :] += pad
+            tri[j, ..., :j] = tail
+        total[..., cut:] = np.add.reduce(tri, axis=0)
         return total / self.rows
 
 
 def smooth(u: np.ndarray, kernel: int) -> np.ndarray:
-    """Centered moving average; the window shrinks at sequence edges.
+    """Centered moving average along the last axis of [..., T] usage; the
+    window shrinks at sequence edges.
 
     kernel=1 is the identity. Shrinking (rather than zero-padding) avoids
     inventing phantom mass outside the cache.
@@ -96,30 +100,34 @@ def smooth(u: np.ndarray, kernel: int) -> np.ndarray:
     if kernel < 1 or kernel % 2 == 0:
         raise ConfigError(f"smoothing kernel must be odd and >= 1, got {kernel}")
     u = np.asarray(u, dtype=np.float64)
-    if kernel == 1 or u.size <= 1:
+    t = u.shape[-1]
+    if kernel == 1 or t <= 1:
         return u.copy()
-    t = u.size
     r = kernel // 2
-    csum = np.concatenate([[0.0], np.cumsum(u)])
+    csum = np.zeros(u.shape[:-1] + (t + 1,))
+    np.cumsum(u, axis=-1, out=csum[..., 1:])
     lo = np.maximum(np.arange(t) - r, 0)
     hi = np.minimum(np.arange(t) + r + 1, t)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    # take, not fancy indexing, keeps the rows C-contiguous, so row sums
+    # downstream add in the same order as for one row
+    return (csum.take(hi, axis=-1) - csum.take(lo, axis=-1)) / (hi - lo)
 
 
 def normalize_mass(u: np.ndarray, epsilon: float) -> np.ndarray:
-    """Clip negatives, add epsilon, normalize to a strictly positive distribution."""
+    """Clip negatives, add epsilon, normalize each [..., T] row to a strictly
+    positive distribution."""
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     u = np.asarray(u, dtype=np.float64)
-    if u.size < 1:
+    if u.ndim < 1 or u.shape[-1] < 1:
         raise ContractViolation("cannot normalize an empty usage vector")
     num = np.maximum(u, 0.0) + epsilon
-    return num / num.sum()
+    return num / num.sum(axis=-1, keepdims=True)
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
-    total = v.sum()
-    if total <= 0.0:
+    total = v.sum(axis=-1, keepdims=True)
+    if not (total > 0.0).all():
         raise ContractViolation("cannot normalize a non-positive vector")
     return v / total
 
@@ -143,12 +151,12 @@ class EmaCreditStore:
         self.mix = mix
         self.credit = np.zeros((heads, capacity))
 
-    def update_and_mix(self, head: int, m_cur: np.ndarray) -> np.ndarray:
-        """Decay-update the credit of head ``head``'s first ``m_cur.size``
-        positions with the current mass and return the history-aware mass
-        used for segmentation and quotas."""
+    def update_and_mix(self, m_cur: np.ndarray) -> np.ndarray:
+        """Decay-update every head's credit at its first T positions with the
+        current [heads, T] mass and return the history-aware mass used for
+        segmentation and quotas."""
         m_cur = np.asarray(m_cur, dtype=np.float64)
-        c = self.credit[head, : m_cur.size]
+        c = self.credit[:, : m_cur.shape[-1]]
         c[:] = self.decay * c + (1.0 - self.decay) * m_cur
         mixed = self.mix * m_cur + (1.0 - self.mix) * _normalize(c)
         return _normalize(mixed)

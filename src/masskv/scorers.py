@@ -1,9 +1,10 @@
 """Plug-and-play token-importance scorers.
 
-Each scorer takes one head's newest attention row, the usage the engine
-folded from its recent rows once per event, and its keys, and returns one
-real score per cache position (higher = keep). The selection stage only
-consumes the ordering, so any deterministic scorer can drive the pipeline.
+Each scorer takes the newest attention rows, the usage the engine folded
+from the recent rows once per event, and the keys, one row per head, and
+returns one real score per head and cache position (higher = keep). The
+selection stage only consumes the ordering, so any deterministic scorer can
+drive the pipeline.
 """
 
 from __future__ import annotations
@@ -36,20 +37,19 @@ def score_key_diff(newest: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> n
     if keys is None:
         raise ContractViolation("keydiff scorer needs key vectors")
     keys = np.asarray(keys, dtype=np.float64)
-    if keys.ndim != 2 or keys.shape[0] < 1:
-        raise ContractViolation(f"keys must be [T, D] with T >= 1, got {keys.shape}")
-    t = keys.shape[0]
-    if t == 1:
-        return np.zeros(1, dtype=np.float64)
-    g = np.empty(t, dtype=np.float64)
-    g[1:] = np.linalg.norm(np.diff(keys, axis=0), axis=1)
-    g[0] = g[1]
+    if keys.ndim < 2 or keys.shape[-2] < 1:
+        raise ContractViolation(f"keys must be [..., T, D] with T >= 1, got {keys.shape}")
+    if keys.shape[-2] == 1:
+        return np.zeros(keys.shape[:-1], dtype=np.float64)
+    g = np.empty(keys.shape[:-1], dtype=np.float64)
+    g[..., 1:] = np.linalg.norm(np.diff(keys, axis=-2), axis=-1)
+    g[..., 0] = g[..., 1]
     return g
 
 
 def score_constant(newest: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Flat scores of 1.0; useful as a tie-break and plumbing fixture."""
-    return np.ones(newest.shape[-1], dtype=np.float64)
+    return np.ones(newest.shape, dtype=np.float64)
 
 
 SCORERS = {
@@ -65,9 +65,10 @@ READS_KEYS = frozenset({"keydiff"})
 
 
 def get_scorer(name: str):
-    """Scorer by registry name; each takes one head's (newest, usage, keys):
-    the [T] attention row of its newest query, the [T] usage folded from its
-    recent rows, and its [T, D] keys (None when the caller has none)."""
+    """Scorer by registry name; each takes (newest, usage, keys): the [..., T]
+    attention rows of the newest query, the [..., T] usage folded from the
+    recent rows, and the [..., T, D] keys (None when the caller has none),
+    one leading index per head."""
     if name not in SCORERS:
         raise ConfigError(f"unknown scorer {name!r}; choose from {sorted(SCORERS)}")
     return SCORERS[name]

@@ -2,7 +2,8 @@
 
 High-mass regions cross threshold multiples quickly and get fine segments;
 low-mass regions get coarse ones. A split/merge pass then clamps segment
-lengths into a workable range before quota allocation.
+lengths into a workable range before quota allocation. Every head is
+segmented in the same calls: a ``SegmentSet`` holds all heads' segments.
 """
 
 from __future__ import annotations
@@ -13,13 +14,17 @@ from masskv.core import CompressionConfig, ContractViolation
 
 
 class SegmentSet:
-    """Non-overlapping half-open intervals tiling [0, T).
+    """Every head's partition of [0, T) into non-overlapping half-open
+    intervals, stored flat (CSR).
 
-    Stored as a boundary array ``b`` with b[0]=0, b[-1]=T, strictly
-    increasing; segment i is [b[i], b[i+1]).
+    A position of head h is h * T + t in the heads' concatenated caches,
+    [0, heads * T). ``boundaries`` is one strictly increasing array from 0 to
+    heads * T that holds every h * T; segment i is [b[i], b[i+1]). Head h
+    owns segments ``offsets[h]`` to ``offsets[h+1] - 1``. With one head the
+    boundaries are the cache positions themselves.
     """
 
-    def __init__(self, boundaries: np.ndarray):
+    def __init__(self, boundaries: np.ndarray, heads: int = 1):
         boundaries = np.asarray(boundaries, dtype=np.int64)
         if boundaries.ndim != 1 or boundaries.size < 2:
             raise ContractViolation("need at least [0, T] as boundaries")
@@ -27,7 +32,12 @@ class SegmentSet:
             raise ContractViolation("first boundary must be 0")
         if not (np.diff(boundaries) > 0).all():
             raise ContractViolation("boundaries must be strictly increasing")
+        breaks = np.arange(heads + 1) * (boundaries[-1] // heads)
+        self.offsets = np.searchsorted(boundaries, breaks)
+        if breaks[-1] != boundaries[-1] or not (boundaries[self.offsets] == breaks).all():
+            raise ContractViolation(f"boundaries must split into {heads} heads of equal length")
         self.boundaries = boundaries
+        self.heads = heads
 
     @classmethod
     def single(cls, total: int) -> "SegmentSet":
@@ -35,7 +45,8 @@ class SegmentSet:
 
     @property
     def total(self) -> int:
-        return int(self.boundaries[-1])
+        """T, the length of each head's cache."""
+        return int(self.boundaries[-1]) // self.heads
 
     @property
     def starts(self) -> np.ndarray:
@@ -49,99 +60,115 @@ class SegmentSet:
     def lengths(self) -> np.ndarray:
         return np.diff(self.boundaries)
 
+    @property
+    def owner(self) -> np.ndarray:
+        """The head of each segment."""
+        return np.repeat(np.arange(self.heads), np.diff(self.offsets))
+
     def __len__(self) -> int:
         return self.boundaries.size - 1
 
     def __iter__(self):
-        for a, b in zip(self.starts, self.ends):
-            yield int(a), int(b)
+        for a, b in zip(self.starts.tolist(), self.ends.tolist()):
+            yield a, b
+
+    def per_head(self) -> list[np.ndarray]:
+        """Each head's boundaries [0, ..., T] in its own cache positions."""
+        b, off, t = self.boundaries, self.offsets, self.total
+        return [b[off[h] : off[h + 1] + 1] - h * t for h in range(self.heads)]
 
     def masses(self, m: np.ndarray) -> np.ndarray:
-        """Total mass inside each segment."""
-        csum = np.concatenate([[0.0], np.cumsum(np.asarray(m, dtype=np.float64))])
-        return csum[self.ends] - csum[self.starts]
+        """Total mass inside each segment, from each head's own [T] mass row."""
+        m = np.asarray(m, dtype=np.float64).reshape(self.heads, -1)
+        csum = np.zeros((self.heads, m.shape[1] + 1))
+        np.cumsum(m, axis=-1, out=csum[:, 1:])
+        # row h of csum is one longer than a cache, so h * T + t is at h * (T + 1) + t
+        csum, shift = csum.ravel(), self.owner
+        return csum[self.ends + shift] - csum[self.starts + shift]
 
 
 def cut_points(m: np.ndarray, delta: float) -> np.ndarray:
-    """Smallest positions where cumulative mass crosses each multiple of delta.
+    """Smallest positions where each row's cumulative mass crosses each
+    multiple of delta, in one search over the [..., T] mass.
 
-    Returned values are boundary positions in (0, T], deduplicated; thresholds
-    the total never reaches produce no cut.
+    Returned values are boundary positions in (0, T], in the concatenated
+    caches for several rows (row h's position p is h * T + p), sorted and
+    deduplicated; thresholds the total never reaches produce no cut.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.size < 1:
+    if m.ndim < 1 or m.shape[-1] < 1:
         raise ContractViolation("mass vector must be non-empty")
     if not (0.0 < delta <= 1.0):
         raise ContractViolation(f"delta must be in (0, 1], got {delta}")
-    csum = np.cumsum(m)
-    total = csum[-1]
-    n_thr = int(np.floor(total / delta)) + 1
+    csum = np.cumsum(m, axis=-1)
+    n_thr = int(np.floor(csum[..., -1].max() / delta)) + 1
     thresholds = np.arange(1, n_thr + 1, dtype=np.float64) * delta
-    idx = np.searchsorted(csum, thresholds, side="left")
-    cuts = idx[idx < m.size] + 1
-    return np.unique(cuts)
+    # position i + 1 is a cut when a threshold t has csum[i - 1] < t <= csum[i]
+    crossed = np.searchsorted(thresholds, csum, side="right")
+    return np.flatnonzero(np.diff(crossed, axis=-1, prepend=0)) + 1
 
 
 def split_long(segs: SegmentSet, max_len: int) -> SegmentSet:
-    """Replace each over-long segment by ceil(L/max_len) near-equal parts."""
+    """Replace each over-long segment by ceil(L/max_len) near-equal parts,
+    the longer parts first."""
     if max_len < 1:
         raise ContractViolation("max_len must be >= 1")
-    out = [0]
-    for a, b in segs:
-        length = b - a
-        if length <= max_len:
-            out.append(b)
-            continue
-        parts = -(-length // max_len)
-        base, rem = divmod(length, parts)
-        pos = a
-        for i in range(parts):
-            pos += base + (1 if i < rem else 0)
-            out.append(pos)
-    return SegmentSet(np.array(out, dtype=np.int64))
+    lengths = segs.lengths
+    parts = -(-lengths // max_len)
+    base, rem = np.divmod(lengths, parts)
+    owner = np.repeat(np.arange(lengths.size), parts)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    pieces = base[owner] + (rank < rem[owner])
+    return SegmentSet(np.concatenate([[0], np.cumsum(pieces)]), segs.heads)
 
 
 def merge_short(segs: SegmentSet, min_len: int) -> SegmentSet:
-    """Left-to-right sweep merging under-length segments into their right
-    neighbor; a short final segment merges leftward instead. A single segment
-    shorter than min_len survives as-is when there is nothing to merge with.
+    """Left-to-right sweep over each head merging under-length segments into
+    their right neighbor; a head's short final segment merges leftward
+    instead. A head's single segment shorter than min_len survives as-is when
+    there is nothing to merge with.
     """
     if min_len < 1:
         raise ContractViolation("min_len must be >= 1")
-    ends = []
-    start = 0
-    for _, b in segs:
-        if b - start >= min_len:
-            ends.append(b)
-            start = b
     total = segs.total
-    if start < total:
-        # trailing run too short: extend the last emitted segment leftward
-        if ends:
-            ends[-1] = total
+    out, start = [0], 0
+    for b in segs.ends.tolist():
+        if b - start >= min_len:
+            out.append(b)
+        elif b % total == 0:
+            # a head's trailing run is too short: it merges leftward into
+            # the head's last emitted segment, if there is one
+            if out[-1] > b - total:
+                out[-1] = b
+            else:
+                out.append(b)
         else:
-            ends.append(total)
-    return SegmentSet(np.array([0] + ends, dtype=np.int64))
+            continue
+        start = b
+    return SegmentSet(np.array(out, dtype=np.int64), segs.heads)
 
 
-def fixed_length_segments(total: int, length: int) -> SegmentSet:
-    """Contiguous segments of a fixed length (last one truncated)."""
+def fixed_length_segments(total: int, length: int, heads: int = 1) -> SegmentSet:
+    """Each head's cache cut into contiguous segments of a fixed length (last
+    one truncated)."""
     if total < 1 or length < 1:
         raise ContractViolation("total and length must be >= 1")
-    boundaries = list(range(0, total, length)) + [total]
-    return SegmentSet(np.unique(np.array(boundaries, dtype=np.int64)))
+    starts = np.arange(heads)[:, None] * total + np.arange(0, total, length)
+    return SegmentSet(np.append(starts.ravel(), heads * total), heads)
 
 
 def segment(m: np.ndarray, cfg: CompressionConfig) -> SegmentSet:
-    """Full segmentation pipeline: cuts, then split, then merge.
+    """Full segmentation pipeline over every row of [..., T] mass (one row
+    per head): cuts, then split, then merge.
 
-    In the fixed-length ablation the mass is ignored and the cache is tiled
+    In the fixed-length ablation the mass is ignored and each cache is tiled
     with segments of ``max_seg_len``.
     """
     m = np.asarray(m, dtype=np.float64)
+    total, heads = m.shape[-1], int(np.prod(m.shape[:-1]))
     if cfg.fixed_length_segments_on:
-        return fixed_length_segments(m.size, cfg.max_seg_len)
+        return fixed_length_segments(total, cfg.max_seg_len, heads)
     cuts = cut_points(m, cfg.segment_mass)
-    segs = SegmentSet(np.unique(np.concatenate([[0], cuts, [m.size]])))
+    segs = SegmentSet(np.union1d(cuts, np.arange(heads + 1) * total), heads)
     segs = split_long(segs, cfg.max_seg_len)
     return merge_short(segs, cfg.min_seg_len)

@@ -46,7 +46,7 @@ WORKLOADS = tuple(WORKLOAD_PARAMS)
 
 
 def _count(v) -> bool:
-    return isinstance(v, numbers.Integral) and v >= 0
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
 
 
 # the values a parameter may take beyond converting to a finite float, which
@@ -73,6 +73,8 @@ class ToyDecoder:
     """
 
     def __init__(self, seed: int, kv_heads: int = 2, head_dim: int = 16):
+        if not _count(seed):
+            raise ConfigError(f"decoder seed must be an integer >= 0, got {seed!r}")
         self.seed = seed
         self.kv_heads = kv_heads
         self.head_dim = head_dim
@@ -106,9 +108,9 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.name not in WORKLOADS:
             raise ConfigError(f"unknown workload {self.name!r}; choose from {WORKLOADS}")
-        if self.steps < 1:
-            raise ConfigError("workload steps must be >= 1")
-        if isinstance(self.seed, bool) or not _count(self.seed):
+        if not (_count(self.steps) and self.steps >= 1):
+            raise ConfigError(f"workload steps must be an integer >= 1, got {self.steps!r}")
+        if not _count(self.seed):
             raise ConfigError(f"workload seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("workload params must be a mapping of names to numbers")
@@ -132,9 +134,14 @@ class WorkloadSpec:
 def _jitter(base: np.ndarray, heads: int, rng, amp: float) -> np.ndarray:
     """Per-head multiplicative noise, bounded so score orderings with ratio
     gaps above (1+amp)/(1-amp) are preserved; rows renormalized."""
-    noise = 1.0 + amp * rng.uniform(-1.0, 1.0, size=(heads, base.size))
-    rows = base[None, :] * noise
-    return rows / rows.sum(axis=-1, keepdims=True)
+    # in place on the draw, in the order of base * (1 + amp * u) / sum, so
+    # the rows keep their bits without four [heads, T] temporaries
+    rows = rng.uniform(-1.0, 1.0, size=(heads, base.size))
+    rows *= amp
+    rows += 1.0
+    rows *= base
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return rows
 
 
 class _WorkloadRows:
@@ -201,7 +208,7 @@ class EventRecord:
     id_watermark: int           # ids below this existed at this event
     segments: list | None       # per head: boundaries [n_seg + 1]; AMS only
     quotas: list | None         # per head: quotas [n_seg]; AMS only
-    mass: list | None           # per head: mass [cache_len]; AMS only
+    mass: np.ndarray | None     # [heads, cache_len] mass; AMS only
     counters: dict              # always {}; schema 1 keeps the key
     wall_time: float
 
@@ -326,14 +333,12 @@ def run_schedule(
             continue
 
         t0 = time.perf_counter()
-        sels = compress_event(
+        keep, segs, quotas, mass = compress_event(
             policy, heads, t_cur, usage, None if keys is None else keys[:, :t_cur], cfg,
             scorer=scorer, credit=credit,
         )
-        keep = np.stack([sel.keep for sel in sels])
         ledger = advance_ledger(ledger, pending, keep)
         pending = 0
-        is_ams = sels[0].segments is not None
         trace.events.append(
             EventRecord(
                 index=len(trace.events),
@@ -342,9 +347,9 @@ def run_schedule(
                 keep_positions=keep,
                 kept_ids=ledger.ids,
                 id_watermark=ledger.next_id,
-                segments=[sel.segments.boundaries for sel in sels] if is_ams else None,
-                quotas=[sel.quotas for sel in sels] if is_ams else None,
-                mass=[sel.mass for sel in sels] if is_ams else None,
+                segments=None if segs is None else segs.per_head(),
+                quotas=None if segs is None else np.split(quotas, segs.offsets[1:-1]),
+                mass=mass,
                 counters={},
                 wall_time=time.perf_counter() - t0,
             )
@@ -389,7 +394,7 @@ def trace_to_dict(trace: RunTrace, include_timing: bool = False) -> dict:
             "id_watermark": ev.id_watermark,
             "segments": None if ev.segments is None else [b.tolist() for b in ev.segments],
             "quotas": None if ev.quotas is None else [q.tolist() for q in ev.quotas],
-            "mass": None if ev.mass is None else [m.tolist() for m in ev.mass],
+            "mass": None if ev.mass is None else ev.mass.tolist(),
             "counters": ev.counters,
         }
         if include_timing:

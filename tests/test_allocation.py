@@ -77,7 +77,7 @@ def test_compute_quotas_hand_case():
     m = _mass_for([4, 2, 2], [0.5, 0.3, 0.2])
     qv = compute_quotas(segs, m, 6, cfg)
     assert qv.quotas.tolist() == [2, 2, 2]
-    assert qv.t_rem == 6
+    assert qv.quotas.sum() == 6
 
 
 def test_compute_quotas_single_segment_and_symmetry():

@@ -227,25 +227,27 @@ def test_normalize_mass_properties(u, eps):
 def test_ema_symmetric_fixed_point():
     store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=2)
     m = np.array([0.5, 0.5])
-    out = store.update_and_mix(0, m)
+    out = store.update_and_mix(m[None])
     np.testing.assert_allclose(store.credit[0], [0.05, 0.05])
-    np.testing.assert_allclose(out, [0.5, 0.5])
+    np.testing.assert_allclose(out, [[0.5, 0.5]])
 
 
 def test_ema_mix_degenerates_at_beta_one():
     store = EmaCreditStore(decay=0.5, mix=1.0, heads=1, capacity=3)
     store.credit[0] = [0.2, 0.5, 0.3]
     m = np.array([0.7, 0.2, 0.1])
-    np.testing.assert_allclose(store.update_and_mix(0, m), m)
+    np.testing.assert_allclose(store.update_and_mix(m[None]), m[None])
 
 
 def test_ema_hand_evaluation():
-    # head 1 of a wider array: head 0 and the positions past the mass stay put
+    # two heads mixed at once, each from its own credit row; the positions
+    # past the mass stay put
     store = EmaCreditStore(decay=0.5, mix=0.5, heads=2, capacity=3)
-    store.credit[1, :2] = [1.0, 0.0]
-    out = store.update_and_mix(1, np.array([0.0, 1.0]))
-    np.testing.assert_allclose(store.credit, [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
-    np.testing.assert_allclose(out, [0.25, 0.75])
+    store.credit[:, :2] = [[0.5, 0.5], [1.0, 0.0]]
+    store.credit[:, 2] = 7.0
+    out = store.update_and_mix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+    np.testing.assert_allclose(store.credit, [[0.5, 0.5, 7.0], [0.5, 0.5, 7.0]])
+    np.testing.assert_allclose(out, [[0.5, 0.5], [0.25, 0.75]])
 
 
 def test_ema_output_is_distribution_and_converges():
@@ -253,7 +255,7 @@ def test_ema_output_is_distribution_and_converges():
     store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=16)  # zero credit
     m = rng.dirichlet(np.ones(16))
     for _ in range(50):
-        out = store.update_and_mix(0, m)
+        out = store.update_and_mix(m[None])
         assert abs(out.sum() - 1.0) < 1e-9
     credit = store.credit[0]
     assert np.abs(credit / credit.sum() - m).sum() < 1e-3
@@ -270,7 +272,7 @@ def test_ema_credit_decays_geometrically():
     err0 = np.abs(c / c.sum() - m).sum()
     errors = []
     for _ in range(50):
-        store.update_and_mix(0, m)
+        store.update_and_mix(m[None])
         errors.append(np.abs(c / c.sum() - m).sum())
     assert errors[-1] <= 1.5 * (0.9**50) * err0
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))

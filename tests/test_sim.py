@@ -466,8 +466,9 @@ def test_whole_runs_keep_budget_sinks_and_token_ids(data):
 def test_workload_validation():
     with pytest.raises(ConfigError):
         WorkloadSpec("bogus", steps=10)
-    with pytest.raises(ConfigError):
-        WorkloadSpec("uniform", steps=0)
+    for steps in (0, -3, 128.5, True, "64", None):
+        with pytest.raises(ConfigError, match="steps"):
+            WorkloadSpec("uniform", steps=steps)
     for params in ({"hitter_count": 2}, {"noise": "0.1"}, {"noise": True}):
         with pytest.raises(ConfigError):
             WorkloadSpec("uniform", steps=10, params=params)
@@ -519,6 +520,12 @@ def test_workload_validation():
     assert run_schedule(spec, "ams", CFG).steps == 10
     spec = WorkloadSpec("heavy_hitter", steps=10, params={"hitter_count": 10})
     assert run_schedule(spec, "ams", CFG).steps == 10
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_toy_decoder_rejects_a_seed_that_is_not_a_count(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        ToyDecoder(seed)
 
 
 def _fake_trace(events, cfg=None):
