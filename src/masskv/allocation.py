@@ -20,13 +20,14 @@ class MustKeepSet:
     """Sink prefix plus recent suffix, always retained.
 
     Sinks survive reconciliation unconditionally; the suffix is what shrinks
-    when the budget cannot fit both.
+    when the budget cannot fit both. The suffix starts past the sinks, so
+    ``indices`` is the two laid end to end, sorted and without repeats.
     """
 
     def __init__(self, sinks: np.ndarray, recent: np.ndarray):
         self.sinks = np.asarray(sinks, dtype=np.int64)
         self.recent = np.asarray(recent, dtype=np.int64)
-        self.indices = np.union1d(self.sinks, self.recent)
+        self.indices = np.concatenate([self.sinks, self.recent])
 
     @property
     def size(self) -> int:
@@ -34,12 +35,11 @@ class MustKeepSet:
 
 
 def must_keep(total: int, cfg: CompressionConfig) -> MustKeepSet:
-    """First min(n_sink, T) indices plus last min(n_last, T), deduplicated."""
+    """First min(n_sink, T) indices plus the last min(n_last, T) that are not sinks."""
     if total < 1:
         raise ContractViolation("cache length must be >= 1")
     sinks = np.arange(min(cfg.n_sink, total), dtype=np.int64)
-    recent = np.arange(max(total - cfg.n_last, 0), total, dtype=np.int64)
-    recent = np.setdiff1d(recent, sinks)
+    recent = np.arange(max(total - cfg.n_last, sinks.size), total, dtype=np.int64)
     return MustKeepSet(sinks, recent)
 
 

@@ -135,8 +135,12 @@ def _jitter(base: np.ndarray, heads: int, rng, amp: float) -> np.ndarray:
     """Per-head multiplicative noise, bounded so score orderings with ratio
     gaps above (1+amp)/(1-amp) are preserved; rows renormalized."""
     # in place on the draw, in the order of base * (1 + amp * u) / sum, so
-    # the rows keep their bits without four [heads, T] temporaries
-    rows = rng.uniform(-1.0, 1.0, size=(heads, base.size))
+    # the rows keep their bits without four [heads, T] temporaries; the draw
+    # is rng.uniform(-1.0, 1.0), which is -1 + 2 * random() from the same
+    # 64-bit values, and 2 * u is exact, so u * 2 - 1 has its bits
+    rows = rng.random(size=(heads, base.size))
+    rows *= 2.0
+    rows -= 1.0
     rows *= amp
     rows += 1.0
     rows *= base

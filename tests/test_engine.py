@@ -140,9 +140,9 @@ def test_baseline_events_match_the_per_head_oracles(data):
 
 
 def _count_calls(monkeypatch):
-    """Calls per stage: the names the engine looks its stages up by, the
-    ``select`` the fixed-chunk baseline calls, and every scorer call."""
-    calls = {}
+    """Calls per stage: the names the engine looks its stages up by and
+    every scorer call; also the length of each row ``_best_first`` ranks."""
+    calls, ranked = {}, []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -154,25 +154,37 @@ def _count_calls(monkeypatch):
     for name in ("segment", "compute_quotas", "select", "baseline_global_topk",
                  "baseline_fixed_chunk"):
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
-    monkeypatch.setattr(selector, "select", counted("select", selector.select))
     get = engine.get_scorer
     monkeypatch.setattr(engine, "get_scorer", lambda name: counted("score", get(name)))
-    return calls
+    best_first = selector._best_first
+
+    def spy(g):
+        ranked.append(np.shape(g)[-1])
+        return best_first(g)
+
+    monkeypatch.setattr(selector, "_best_first", spy)
+    return calls, ranked
 
 
 @pytest.mark.parametrize(
     "policy, per_event",
     [
-        ("ams", {"score": 1, "segment": 1, "compute_quotas": 1, "select": 1}),
-        ("global_topk", {"score": 1, "baseline_global_topk": 1}),
-        ("fixed_chunk", {"score": 1, "baseline_fixed_chunk": 1, "select": 1}),
+        ("ams", {"score": 1, "segment": 1, "compute_quotas": 1, "select": 1,
+                 "full-row _best_first": 1}),
+        ("global_topk", {"score": 1, "baseline_global_topk": 1, "full-row _best_first": 0}),
+        ("fixed_chunk", {"score": 1, "baseline_fixed_chunk": 1, "full-row _best_first": 0}),
     ],
 )
 def test_each_stage_runs_once_per_event_not_once_per_head(monkeypatch, policy, per_event):
-    calls = _count_calls(monkeypatch)
+    # only AMS ranks whole [heads, T] rows, once per event; the baselines
+    # order the budget boundary alone, and fixed chunks rank just the chunk sums
+    calls, ranked = _count_calls(monkeypatch)
     cfg = default_config().replace(t_keep=48, interval=64, window=32, n_last=8)
     for source in (WorkloadSpec("drifting_focus", steps=320, seed=2), ToyDecoder(2, kv_heads=5)):
         calls.clear()
+        ranked.clear()
         trace = run_schedule(source, policy, cfg, steps=320, kv_heads=5, scorer="keydiff")
         assert trace.kv_heads == 5 and len(trace.events) == 5
+        cache_lens = {e.cache_len for e in trace.events}
+        calls["full-row _best_first"] = sum(n in cache_lens for n in ranked)
         assert calls == {name: n * len(trace.events) for name, n in per_event.items()}

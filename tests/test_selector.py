@@ -7,6 +7,8 @@ from masskv.allocation import compute_quotas, must_keep, reconcile_budget
 from masskv.core import ContractViolation, default_config
 from masskv.segmentation import SegmentSet, fixed_length_segments, segment
 from masskv.selector import (
+    _best_first,
+    _best_n,
     baseline_fixed_chunk,
     baseline_global_topk,
     baseline_streaming,
@@ -68,6 +70,47 @@ def test_baseline_global_topk_tie_break():
     g = np.zeros(6)
     keep = baseline_global_topk(g, np.array([], dtype=np.int64), 3)
     assert keep.tolist() == [0, 1, 2]  # all-tied scores: lowest indices win
+
+
+def _ranked_reference(g, cand):
+    """A row's candidate positions best first by the key (NaN, -score,
+    index): NaN ranks last, and -0.0 and +0.0 tie."""
+    def key(i):
+        return (True, 0.0, i) if np.isnan(g[i]) else (False, -g[i], i)
+
+    return sorted(np.flatnonzero(cand).tolist(), key=key)
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_best_n_matches_a_brute_force_ranking(data):
+    # NaN, ±inf and signed zeros among the scores, a different n per row
+    # from 0 to every candidate, ties straddling the boundary, rows with no
+    # candidates, float32 scores; _best_first must rank whole rows the same
+    rows = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(1, 40))
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["special", "integer", "normal"]))
+    if kind == "special":
+        g = rng.choice(SPECIAL, size=(rows, t))
+    elif kind == "integer":
+        g = rng.integers(0, 3, size=(rows, t)).astype(np.float64)
+    else:
+        g = rng.normal(size=(rows, t))
+    g = g.astype(dtype)
+    cand = rng.random((rows, t)) < data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    n = np.array([rng.choice([0, c, rng.integers(0, c + 1)]) for c in cand.sum(axis=-1)])
+    picked = _best_n(g, cand, n)
+    for r in range(rows):
+        ranked = _ranked_reference(g[r], cand[r])
+        assert np.flatnonzero(picked[r]).tolist() == sorted(ranked[: n[r]])
+        assert _best_first(g[r]).tolist() == _ranked_reference(g[r], np.ones(t, dtype=bool))
+    if rows == 1:
+        assert _best_n(g[0], cand[0], n[0]).tolist() == picked[0].tolist()
 
 
 def test_baseline_fixed_chunk_behaviors():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import masskv.sim as sim
 from masskv.core import ConfigError, default_config
 from masskv.diagnostics import (
     jaccard,
@@ -144,6 +145,28 @@ def test_skip_leaves_the_generator_where_rows_would(name):
         skipped.skip(step, total)
         assert drawn.rng.bit_generator.state == skipped.rng.bit_generator.state
     np.testing.assert_array_equal(drawn.rows(9, 42), skipped.rows(9, 42))
+
+
+def _uniform_jitter(base, heads, rng, amp):
+    """The rows' formula drawn with rng.uniform, as it reads on paper."""
+    u = rng.uniform(-1.0, 1.0, size=(heads, base.size))
+    rows = base * (1.0 + amp * u)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_rows_have_the_bits_of_the_uniform_formula(name, monkeypatch):
+    # the in-place draw must give the rows and leave the generator exactly
+    # where the plain rng.uniform formula does
+    spec = WorkloadSpec(name, steps=60, seed=11, params={"noise": 0.3})
+    fast, plain = _WorkloadRows(spec, heads=4), _WorkloadRows(spec, heads=4)
+    for step, total in ((0, 1), (1, 2), (5, 37), (6, 38), (59, 4160)):
+        got = fast.rows(step, total)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_jitter", _uniform_jitter)
+            want = plain.rows(step, total)
+        assert got.tobytes() == want.tobytes()
+        assert fast.rng.bit_generator.state == plain.rng.bit_generator.state
 
 
 # (t_keep, interval, window, steps)
