@@ -152,12 +152,23 @@ def compact(pool: BlockPool, table: BlockTable, keep: np.ndarray) -> BlockTable:
 
 
 def attention_weights(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Single-query softmax attention per head over a dense [H, T, D] cache:
-    the package's one softmax, for the compaction readout and the toy decoder."""
-    scores = np.einsum("htd,hd->ht", keys, query) / np.sqrt(keys.shape[-1])
+    """Causal softmax attention per head over a dense [H, T, D] cache: the
+    package's one softmax, for the compaction readout and the toy decoder.
+
+    A [H, n, D] query block holds the cache's last n tokens, oldest first;
+    query i sees the first T - n + i + 1 keys, and its row of the [H, n, T]
+    result is exactly 0 past them. All n rows come from one ``np.matmul``
+    and are normalized in place. A [H, D] query is the n = 1 case, [H, T].
+    """
+    q = query[:, None] if query.ndim == 2 else query
+    n, t = q.shape[1], keys.shape[1]
+    scores = np.matmul(q, keys.transpose(0, 2, 1))
+    scores /= np.sqrt(keys.shape[-1])
+    scores[:, ~np.tri(n, t, t - n, dtype=bool)] = -np.inf
     scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    return w / w.sum(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores[:, 0] if query.ndim == 2 else scores
 
 
 def attention_readout(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:

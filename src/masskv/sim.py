@@ -12,8 +12,9 @@ reads no rows and no keys, so its run builds neither. A row is built only if
 an event reads it: the rows of its last ``window`` steps since the previous
 event. Every other row is skipped; a workload generator advances its random
 stream past a skipped row, so the rows that are built have the same bits as
-when every row was. Each built row goes straight into the event's
-``UsageAccumulator``; no run holds a window of rows.
+when every row was. In ToyDecoder mode an event's rows are scored one
+chunk of at most ``QUERY_CHUNK`` queries at a time. Each built row goes
+straight into the event's ``UsageAccumulator``; no run holds a window of rows.
 """
 
 from __future__ import annotations
@@ -44,9 +45,18 @@ WORKLOAD_PARAMS = {
 }
 WORKLOADS = tuple(WORKLOAD_PARAMS)
 
+# the most queries a ToyDecoder run scores in one attention_rows call
+QUERY_CHUNK = 16
+
 
 def _count(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+
+def _check_dims(kv_heads, head_dim) -> None:
+    for name, v in (("kv_heads", kv_heads), ("head_dim", head_dim)):
+        if not (_count(v) and v >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 # the values a parameter may take beyond converting to a finite float, which
@@ -75,6 +85,7 @@ class ToyDecoder:
     def __init__(self, seed: int, kv_heads: int = 2, head_dim: int = 16):
         if not _count(seed):
             raise ConfigError(f"decoder seed must be an integer >= 0, got {seed!r}")
+        _check_dims(kv_heads, head_dim)
         self.seed = seed
         self.kv_heads = kv_heads
         self.head_dim = head_dim
@@ -92,7 +103,9 @@ class ToyDecoder:
         return np.einsum("hij,sj->hsi", w, xs, out=out)
 
     def attention_rows(self, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Softmax attention of one query over the live cache, per head."""
+        """Causal softmax attention, per head, of a chunk of queries
+        [heads, n, head_dim], the live cache's last n tokens, over its keys
+        [heads, T, head_dim]: [heads, n, T] rows, each 0 past its prefix."""
         return attention_weights(keys, q)
 
 
@@ -258,8 +271,9 @@ def run_schedule(
     and draws no input embeddings. An event reads the attention rows of its last
     ``window`` steps since the previous event, and only those rows are built;
     in ToyDecoder mode only their queries are projected, and in workload mode
-    no query is. Rows no event reads, such as those of a tail with no event
-    after it, are skipped. Each built row goes straight into the event's
+    no query is, and the rows are scored ``QUERY_CHUNK`` queries at a time.
+    Rows no event reads, such as those of a tail with no event after it, are
+    skipped. Each built row goes straight into the event's
     ``UsageAccumulator``, a fresh one after each event.
     """
     t_keep = cfg.require_t_keep()
@@ -269,6 +283,7 @@ def run_schedule(
         workload = source
         steps = steps if steps is not None else workload.steps
         seed = workload.seed
+        _check_dims(kv_heads, head_dim)
         heads, dim = kv_heads, head_dim
         if reads_rows:
             row_gen = _WorkloadRows(workload, heads)
@@ -322,14 +337,19 @@ def run_schedule(
         if row_gen is not None:
             for i in range(first):
                 row_gen.skip(start + i, t_cur + i + 1)
+            for i in range(first, n):
+                usage.add(row_gen.rows(start + i, t_cur + i + 1))
         elif first < n:
             qs = decoder.project(decoder.w_q, xs[first:])
-        for i in range(first, n):
-            t = t_cur + i + 1
-            if row_gen is not None:
-                usage.add(row_gen.rows(start + i, t))
-            else:
-                usage.add(decoder.attention_rows(qs[:, i - first], keys[:, :t]))
+            for c in range(first, n, QUERY_CHUNK):
+                m = min(QUERY_CHUNK, n - c)
+                rows = decoder.attention_rows(qs[:, c - first : c - first + m],
+                                              keys[:, : t_cur + c + m])
+                for j in range(m):
+                    row = rows[:, j, : t_cur + c + j + 1]
+                    usage.add(row if j < m - 1 else row.copy())
+                # usage keeps its newest row, a copy, so no view pins the chunk
+                del rows, row
         t_cur += n
         pending += n
 

@@ -202,6 +202,39 @@ def test_attention_readout_matches_manual():
         np.testing.assert_allclose(out[h], w @ v[h], atol=1e-12)
 
 
+def _single_query_softmax(keys, q):
+    """The [H, D] query's softmax over all of ``keys``, one einsum per row."""
+    s = np.einsum("htd,hd->ht", keys, q) / np.sqrt(keys.shape[-1])
+    w = np.exp(s - s.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_causal_attention_weights_match_one_query_at_a_time(chunk):
+    # the last 37 of 50 tokens query the cache in consecutive chunks; 37 is
+    # no multiple of 3 or 16, so the last chunk is short
+    rng = np.random.default_rng(chunk)
+    heads, total, dim, first = 3, 50, 8, 13
+    keys = rng.normal(size=(heads, total, dim))
+    qs = rng.normal(size=(heads, total, dim))
+    sizes = []
+    for p in range(first, total, chunk):
+        m = min(chunk, total - p)
+        sizes.append(m)
+        rows = paged.attention_weights(keys[:, : p + m], qs[:, p : p + m])
+        assert rows.shape == (heads, m, p + m)
+        for i in range(m):
+            t = p + i + 1
+            want = _single_query_softmax(keys[:, :t], qs[:, p + i])
+            np.testing.assert_allclose(rows[:, i, :t], want, rtol=1e-12, atol=0)
+            assert (rows[:, i, t:] == 0).all()
+            np.testing.assert_allclose(rows[:, i].sum(axis=-1), 1.0, rtol=1e-12)
+    assert sum(sizes) == total - first and (chunk == 1 or sizes[-1] < chunk)
+    # n = 1 is the [H, D] form, bit for bit
+    one = paged.attention_weights(keys, qs[:, -1:])
+    np.testing.assert_array_equal(one[:, 0], paged.attention_weights(keys, qs[:, -1]))
+
+
 def test_equivalence_fuzz_smoke():
     passed, failed = run_equivalence_fuzz(60, seed=0)
     assert (passed, failed) == (60, 0)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +194,18 @@ def _rows_read(trace, window):
     return steps
 
 
+def _positions_read(trace, window):
+    """The 0-based cache positions of the queries at ``_rows_read``'s steps:
+    the cache only grows between events, so the query of step s before the
+    event at step e sits e - s places before that event's cache_len."""
+    positions, prev = [], 0
+    for ev in trace.events:
+        first = max(prev, ev.step - window)
+        positions.extend(ev.cache_len - (ev.step - s) for s in range(first, ev.step))
+        prev = ev.step
+    return positions
+
+
 def _folds_read(trace, window):
     """Per event: the rows its last ``window`` steps since the previous event
     give, and the [heads, T] shape of the newest."""
@@ -215,12 +231,15 @@ def test_lazy_rows_change_nothing_and_build_only_what_events_read(monkeypatch, c
         built.append(step)
         return rows(self, step, total)
 
-    def counted_attention_rows(self, q, keys):
-        queried.append(keys.shape[1])
+    def chunked_attention_rows(self, q, keys):
+        # a chunk is the cache's last n queries, at most QUERY_CHUNK of them
+        n, t = q.shape[1], keys.shape[1]
+        assert 1 <= n <= sim.QUERY_CHUNK
+        queried.extend(range(t - n, t))
         return attention_rows(self, q, keys)
 
     monkeypatch.setattr(_WorkloadRows, "rows", counted_rows)
-    monkeypatch.setattr(ToyDecoder, "attention_rows", counted_attention_rows)
+    monkeypatch.setattr(ToyDecoder, "attention_rows", chunked_attention_rows)
     for spec in specs:
         built.clear()
         folds.clear()
@@ -232,6 +251,7 @@ def test_lazy_rows_change_nothing_and_build_only_what_events_read(monkeypatch, c
     folds.clear()
     trace = run_schedule(ToyDecoder(6, kv_heads=2, head_dim=8), "ams", cfg, steps=steps)
     assert len(queried) == len(_rows_read(trace, window))
+    assert queried == _positions_read(trace, window)
     assert folds == _folds_read(trace, window)
     if case == LAZY_CASES["no_events"]:
         assert trace.events == [] and queried == [] and folds == []
@@ -549,6 +569,53 @@ def test_workload_validation():
 def test_toy_decoder_rejects_a_seed_that_is_not_a_count(seed):
     with pytest.raises(ConfigError, match="seed"):
         ToyDecoder(seed)
+
+
+BAD_DIMS = [0, -1, 1.5, 2.0, True, "8", None]
+
+
+@pytest.mark.parametrize("bad", BAD_DIMS)
+@pytest.mark.parametrize("dim", ["kv_heads", "head_dim"])
+def test_toy_decoder_rejects_heads_and_widths_below_one(dim, bad):
+    with pytest.raises(ConfigError, match=dim):
+        ToyDecoder(0, **{dim: bad})
+
+
+@pytest.mark.parametrize("bad", BAD_DIMS)
+@pytest.mark.parametrize("dim", ["kv_heads", "head_dim"])
+def test_workload_runs_reject_heads_and_widths_below_one(dim, bad):
+    # head_dim is read only by keydiff's keys, yet no run takes a bad one
+    spec = WorkloadSpec("uniform", steps=256, seed=0)
+    for policy, scorer in (("ams", "keydiff"), ("ams", "expected"), ("streaming", "expected")):
+        with pytest.raises(ConfigError, match=dim):
+            run_schedule(spec, policy, CFG, scorer=scorer, **{dim: bad})
+    assert run_schedule(spec, "ams", CFG, scorer="keydiff", kv_heads=1, head_dim=1).events
+
+
+DETERMINISM_SCRIPT = """
+import hashlib, json
+from masskv.core import default_config
+from masskv.sim import ToyDecoder, run_schedule, trace_to_dict
+cfg = default_config().replace(t_keep=512, interval=256)
+trace = run_schedule(ToyDecoder(5, kv_heads=4, head_dim=64), "ams", cfg, steps=1536)
+doc = json.dumps(trace_to_dict(trace), sort_keys=True)
+print(len(trace.events), hashlib.sha256(doc.encode()).hexdigest())
+"""
+
+
+def test_decoder_traces_do_not_depend_on_blas_threads():
+    # ToyDecoder attention is a BLAS matmul; a thread pool must not change its bits
+    src = str(Path(sim.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].split()[0] == "4"
+    assert outs[0] == outs[1]
 
 
 def _fake_trace(events, cfg=None):
