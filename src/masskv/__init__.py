@@ -9,8 +9,6 @@ from masskv.core import (
     TokenLedger,
     advance_ledger,
     default_config,
-    load_config,
-    save_config,
 )
 from masskv.mass import (
     EmaCreditStore,

@@ -81,7 +81,11 @@ class CompressionConfig:
         if self.t_keep is not None and self.t_keep < 1:
             raise ConfigError(f"t_keep must be >= 1, got {self.t_keep}")
 
-    def replace(self, **changes) -> "CompressionConfig":
+    def replace(self, /, **changes) -> "CompressionConfig":
+        # self is positional-only, so even a key named "self" gets this check
+        unknown = changes.keys() - {f.name for f in dataclasses.fields(self)}
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
         return dataclasses.replace(self, **changes)
 
     def require_t_keep(self) -> int:
@@ -105,70 +109,6 @@ def _has_type(value, annotation: str) -> bool:
 def default_config() -> CompressionConfig:
     """Default hyperparameters; ``t_keep`` is left unset for the caller."""
     return CompressionConfig()
-
-
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_value(name: str, text: str, py_type, lineno: int):
-    text = text.strip()
-    try:
-        if py_type is bool:
-            key = text.lower()
-            if key not in _BOOL_WORDS:
-                raise ValueError(text)
-            return _BOOL_WORDS[key]
-        if py_type is int:
-            return int(text)
-        if py_type is float:
-            return float(text)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse {name}={text!r}") from None
-    raise ConfigError(f"line {lineno}: unsupported field type for {name}")
-
-
-def load_config(path, base: CompressionConfig | None = None) -> CompressionConfig:
-    """Read a flat ``key=value`` config file (one pair per line, # comments).
-
-    Values outside the documented ranges are rejected, not clamped. Keys must
-    be CompressionConfig field names in snake_case.
-    """
-    fields = {f.name: f for f in dataclasses.fields(CompressionConfig)}
-    overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key=value, got {raw.rstrip()!r}")
-            name, text = (part.strip() for part in line.split("=", 1))
-            if name not in fields:
-                raise ConfigError(f"line {lineno}: unknown config key {name!r}")
-            if name == "t_keep" and text.strip().lower() == "none":
-                overrides[name] = None
-                continue
-            py_type = {"t_keep": int}.get(name)
-            if py_type is None:
-                py_type = type(getattr(CompressionConfig(), name))
-            overrides[name] = _parse_value(name, text, py_type, lineno)
-    cfg = base if base is not None else CompressionConfig()
-    return cfg.replace(**overrides)
-
-
-def save_config(cfg: CompressionConfig, path) -> None:
-    """Write a config in the same flat format; round-trips bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(CompressionConfig):
-            value = getattr(cfg, f.name)
-            if value is None:
-                fh.write(f"{f.name} = none\n")
-            elif isinstance(value, bool):
-                fh.write(f"{f.name} = {'true' if value else 'false'}\n")
-            elif isinstance(value, float):
-                fh.write(f"{f.name} = {value!r}\n")
-            else:
-                fh.write(f"{f.name} = {value}\n")
 
 
 class TokenLedger:

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from masskv.core import CompressionConfig, ConfigError, TokenLedger, advance_ledger
-from masskv.engine import READS_ROWS, compress_event
+from masskv.engine import POLICIES, READS_ROWS, compress_event
 from masskv.mass import EmaCreditStore, UsageAccumulator
 from masskv.paged import attention_weights
-from masskv.scorers import READS_KEYS
+from masskv.scorers import READS_KEYS, SCORERS
 
 SCHEMA_VERSION = 1
 
@@ -276,6 +276,11 @@ def run_schedule(
     skipped. Each built row goes straight into the event's
     ``UsageAccumulator``, a fresh one after each event.
     """
+    # checked here, as a run with no event would never look either name up
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    if scorer not in SCORERS:
+        raise ConfigError(f"unknown scorer {scorer!r}; choose from {sorted(SCORERS)}")
     t_keep = cfg.require_t_keep()
     reads_rows = policy in READS_ROWS
     decoder = row_gen = None

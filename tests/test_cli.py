@@ -1,5 +1,6 @@
 import json
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -33,8 +34,8 @@ def test_single_run_via_flags(tmp_path):
 
 
 def test_config_file_and_flag_precedence(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("t_keep = 32\ninterval = 64\nn_last = 4\n")
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"t_keep": 32, "interval": 64, "n_last": 4}))
     out = tmp_path / "o"
     rc = main(
         [
@@ -51,8 +52,8 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def test_invalid_config_exits_2(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("segment_mass = 0.0\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"segment_mass": 0.0}))
     rc = main(["run", "--config", str(bad), "--t-keep", "32", "--out", str(tmp_path / "x")])
     assert rc == 2
 
@@ -292,6 +293,7 @@ def test_cmd_run_library_parity(tmp_path):
         {"out_dir": None, "entries": [{"name": "x", "policy": "streaming"}]},
         {"entries": [{"name": "x", "policy": "streaming"},
                      {"name": "y", "policy": "streaming", "seeds": [0, -1]}]},
+        {"entries": [{"name": "x", "policy": "streaming", "seeds": [0, [1]]}]},
     ],
     ids=["not_an_object", "unknown_config_key", "non_integer_steps", "seeds_not_ints",
          "entries_not_a_list", "entry_not_an_object", "config_not_an_object",
@@ -304,7 +306,8 @@ def test_cmd_run_library_parity(tmp_path):
          "later_entry_drift_1e308", "suppress_1e308",
          "more_hitters_than_steps", "name_escapes_out_dir", "name_with_a_directory",
          "empty_name", "name_not_a_string", "name_with_a_nul", "no_seeds",
-         "out_dir_not_a_string", "out_dir_null", "later_entry_negative_seed"],
+         "out_dir_not_a_string", "out_dir_null", "later_entry_negative_seed",
+         "unhashable_seed"],
 )
 def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     ppath = tmp_path / "plan.json"
@@ -323,3 +326,49 @@ def test_plan_with_an_integer_too_long_to_convert_exits_2(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps([{"t_keep": 32}]),
+        json.dumps({"t_keep": 32, "t_kep": 32}),
+        json.dumps({"t_keep": "32"}),
+        json.dumps({"t_keep": 32, "ema_on": "false"}),
+        json.dumps({"t_keep": 32, "segment_mass": 0.0}),
+        '{"t_keep": %s}' % ("9" * 5000),
+    ],
+    ids=["not_json", "top_level_list", "unknown_key", "string_t_keep", "string_bool",
+         "segment_mass_zero", "integer_too_long_to_convert"],
+)
+def test_bad_config_exits_2_before_any_run(tmp_path, capsys, text):
+    cpath = tmp_path / "run.json"
+    cpath.write_text(text)
+    rc = main(["run", "--config", str(cpath), "--steps", "128", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("flag", ["--plan", "--config"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_missing_or_unreadable_input_path_exits_2(tmp_path, capsys, flag, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    rc = main(["run", flag, str(path), "--t-keep", "32", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["input.json"] if kind == "directory" else [])
+
+
+def test_shipped_ablation_plan_passes_every_pre_run_check(tmp_path, monkeypatch):
+    # the README points users at this plan; load and check it, but run nothing
+    runs = []
+    monkeypatch.setattr(cli, "_run_one", lambda entry, spec, cfg, out: runs.append(spec))
+    plan = load_plan(Path(__file__).resolve().parent.parent / "demos" / "plan_ablations.json",
+                     out_dir=tmp_path / "o")
+    assert cmd_run(plan, default_config()) == 0
+    assert len(runs) == sum(len(e.seeds) for e in plan.entries) == 15
+    assert list((tmp_path / "o").iterdir()) == []

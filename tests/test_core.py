@@ -1,4 +1,4 @@
-import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,9 +12,8 @@ from masskv.core import (
     TokenLedger,
     advance_ledger,
     default_config,
-    load_config,
-    save_config,
 )
+from masskv.cli import main
 
 
 def test_default_config_values():
@@ -72,39 +71,29 @@ def test_require_t_keep():
         default_config().replace(t_keep=3, n_sink=4).require_t_keep()
 
 
+def test_replace_rejects_unknown_fields():
+    with pytest.raises(ConfigError, match="unknown config keys \\['t_kep'\\]"):
+        default_config().replace(t_kep=3)
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        default_config().replace(**{"self": 1})
+    assert default_config().replace(t_keep=3).t_keep == 3
+
+
 def test_config_file_roundtrip_bit_exact(tmp_path):
-    for cfg in (
-        default_config(),  # t_keep unset
-        default_config().replace(t_keep=512, epsilon=1e-7, segment_mass=0.07),
-    ):
-        path = tmp_path / "run.cfg"
-        save_config(cfg, path)
-        loaded = load_config(path)
-        assert loaded == cfg
-        for f in dataclasses.fields(CompressionConfig):
-            assert getattr(loaded, f.name) == getattr(cfg, f.name)
-
-
-def test_config_file_rejects_invalid(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("segment_mass = 0.0\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
-    path.write_text("not_a_key = 3\n")
-    with pytest.raises(ConfigError, match="line 1"):
-        load_config(path)
-    path.write_text("segment_mass\n")
-    with pytest.raises(ConfigError, match="key=value"):
-        load_config(path)
-
-
-def test_config_file_comments_and_overrides(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# comment\n t_keep = 256 # inline\nema_on = false\n\n")
-    cfg = load_config(path)
-    assert cfg.t_keep == 256
-    assert cfg.ema_on is False
-    assert cfg.window == 128  # untouched default
+    # a trace's "config" object, written as a --config file, reproduces the trace
+    run = ["run", "--policy", "ams", "--workload", "drifting_focus", "--steps", "256"]
+    plan = {"entries": [{"name": "ams_expected_drifting_focus", "policy": "ams",
+                         "workload": "drifting_focus", "steps": 256,
+                         "config": {"t_keep": 40, "interval": 64, "window": 32,
+                                    "epsilon": 1e-7, "segment_mass": 0.07, "ema_on": False}}]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    assert main(["run", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path / "a")]) == 0
+    first = tmp_path / "a" / "ams_expected_drifting_focus_seed0.json"
+    (tmp_path / "run.json").write_text(json.dumps(json.loads(first.read_text())["config"]))
+    assert main(run + ["--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "b")]) == 0
+    for suffix in (".json", ".csv"):
+        again = (tmp_path / "b" / first.name).with_suffix(suffix)
+        assert again.read_bytes() == first.with_suffix(suffix).read_bytes()
 
 
 def _ledger1d(ids):

@@ -102,6 +102,18 @@ def test_no_events_when_steps_below_interval():
     assert trace.summaries["mean_retained_iou"] is None
 
 
+@pytest.mark.parametrize("steps", [32, 256])
+@pytest.mark.parametrize(
+    "policy, scorer, name",
+    [("bogus", "expected", "policy"), ("ams", "nope", "scorer"), ("streaming", "nope", "scorer")],
+)
+def test_unknown_policy_or_scorer_is_rejected_before_the_first_step(steps, policy, scorer, name):
+    # a run with no event, or of a policy that never scores, looks neither name up
+    for source in (WorkloadSpec("uniform", steps=steps, seed=0), ToyDecoder(0)):
+        with pytest.raises(ConfigError, match=f"unknown {name}"):
+            run_schedule(source, policy, CFG, steps=steps, scorer=scorer)
+
+
 def test_no_event_when_cache_under_budget():
     cfg = CFG.replace(t_keep=512, interval=128)
     trace = run_schedule(WorkloadSpec("uniform", steps=256, seed=0), "ams", cfg)
