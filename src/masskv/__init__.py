@@ -6,8 +6,6 @@ from masskv.core import (
     CompressionConfig,
     ConfigError,
     ContractViolation,
-    TokenLedger,
-    advance_ledger,
     default_config,
 )
 from masskv.mass import (

@@ -1,9 +1,4 @@
-"""Compression configuration and the token-identity ledger.
-
-The ledger maps cache positions back to the global ids tokens were born with,
-which is what lets the diagnostics compare retained sets across repeated
-compressions after positions have been reshuffled by gathers.
-"""
+"""Compression configuration and the errors every module raises."""
 
 from __future__ import annotations
 
@@ -11,8 +6,6 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class ConfigError(ValueError):
@@ -98,65 +91,18 @@ class CompressionConfig:
 
 def _has_type(value, annotation: str) -> bool:
     """Whether a config value fits its field's annotation: integers include
-    NumPy ones, floats are finite reals, and a bool fits only a bool field."""
+    NumPy ones and must fit in an int64, as the arrays that hold them do;
+    floats are finite reals, and a bool fits only a bool field."""
     if isinstance(value, bool) or annotation == "bool":
         return isinstance(value, bool) and annotation == "bool"
     if annotation == "float":
         return isinstance(value, numbers.Real) and math.isfinite(value)
-    return isinstance(value, numbers.Integral) or (value is None and annotation == "int | None")
+    if isinstance(value, numbers.Integral):
+        return -(2**63) <= value < 2**63
+    return value is None and annotation == "int | None"
 
 
 def default_config() -> CompressionConfig:
     """Default hyperparameters; ``t_keep`` is left unset for the caller."""
     return CompressionConfig()
 
-
-class TokenLedger:
-    """Per-head map from cache position to original global token id, [heads, T].
-
-    Ids are 0-based, assigned in generation order, and strictly increasing
-    along the cache axis. Kept per head because keep sets are head-wise.
-    """
-
-    def __init__(self, ids: np.ndarray, next_id: int):
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2:
-            raise ContractViolation(f"ledger ids must be [heads, T], got shape {ids.shape}")
-        if ids.shape[-1] > 0:
-            if ids.max() >= next_id:
-                raise ContractViolation("next_id must exceed every ledger id")
-            if ids.shape[-1] > 1 and not (np.diff(ids, axis=-1) > 0).all():
-                raise ContractViolation("ledger ids must be strictly increasing per head")
-        self.ids = ids
-        self.next_id = int(next_id)
-
-    @classmethod
-    def fresh(cls, heads: int, length: int) -> "TokenLedger":
-        ids = np.broadcast_to(np.arange(length, dtype=np.int64), (heads, length)).copy()
-        return cls(ids, next_id=length)
-
-    @property
-    def length(self) -> int:
-        return self.ids.shape[-1]
-
-
-def advance_ledger(ledger: TokenLedger, new_tokens: int, keep: np.ndarray) -> TokenLedger:
-    """Append ids for ``new_tokens`` fresh tokens, then gather by per-head keep.
-
-    Appended ids continue the global counter, identically across heads (all
-    heads see the same token stream). ``keep`` has shape [heads, k] and
-    indexes the extended ledger.
-    """
-    keep = np.asarray(keep, dtype=np.int64)
-    heads = ledger.ids.shape[0]
-    if keep.ndim != 2 or keep.shape[0] != heads:
-        raise ContractViolation(
-            f"keep shape {keep.shape} incompatible with ledger {ledger.ids.shape}"
-        )
-    if new_tokens < 0:
-        raise ContractViolation("new_tokens must be >= 0")
-    if keep.size and (keep.min() < 0 or keep.max() >= ledger.length + new_tokens):
-        raise ContractViolation("keep index out of range for ledger")
-    fresh = ledger.next_id + np.arange(new_tokens, dtype=np.int64)
-    ids = np.concatenate([ledger.ids, np.broadcast_to(fresh, (heads, new_tokens))], axis=-1)
-    return TokenLedger(np.take_along_axis(ids, keep, axis=-1), next_id=ledger.next_id + new_tokens)

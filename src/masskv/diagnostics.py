@@ -1,6 +1,6 @@
 """Structural retention diagnostics over run traces.
 
-Retained-set IoU works in original-token-id space (via the ledger) so it
+Retained-set IoU works in original-token-id space (kept ids) so it
 measures how stable the kept content is across consecutive events. The
 wipe-out rate and spatial histogram work in pre-compression cache
 coordinates at each event: wipe-out asks whether any window of contiguous
@@ -16,8 +16,8 @@ import numpy as np
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     """Plain Jaccard overlap of two index sets; empty-vs-empty counts as 1.
 
-    Neither ``a`` nor ``b`` may repeat an id (ledger ids never do), so the
-    union is |a| + |b| - |a & b|.
+    Neither ``a`` nor ``b`` may repeat an id (an event's kept ids never do),
+    so the union is |a| + |b| - |a & b|.
     """
     inter = np.intersect1d(a, b, assume_unique=True).size
     union = len(a) + len(b) - inter
@@ -39,7 +39,7 @@ def metric_retained_iou(trace) -> np.ndarray:
         for h in range(prev.kept_ids.shape[0]):
             old = prev.kept_ids[h]
             new = cur.kept_ids[h]
-            new = new[new < prev.id_watermark]
+            new = new[new < prev.step]
             per_head.append(jaccard(old, new))
         series.append(float(np.mean(per_head)))
     return np.asarray(series, dtype=np.float64)

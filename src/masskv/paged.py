@@ -12,7 +12,6 @@ using the plain (table, position) lookup with no per-head indirection.
 
 from __future__ import annotations
 
-import heapq
 import logging
 
 import numpy as np
@@ -20,6 +19,8 @@ import numpy as np
 from masskv.core import ContractViolation
 
 logger = logging.getLogger(__name__)
+
+COMPACTION_ATOL = 1e-6  # criterion 6: compacted vs dense-gathered entries and readouts
 
 
 class AllocationError(RuntimeError):
@@ -39,35 +40,31 @@ class BlockPool:
         n_slots = num_blocks * block_size
         self.keys = np.zeros((n_slots, kv_heads, head_dim), dtype=np.float64)
         self.values = np.zeros((n_slots, kv_heads, head_dim), dtype=np.float64)
-        self._free = list(range(num_blocks))
-        heapq.heapify(self._free)
-        self._is_free = [True] * num_blocks
+        self._free = np.ones(num_blocks, dtype=bool)  # one flag per block id
 
     @property
     def num_free(self) -> int:
-        return len(self._free)
+        return int(np.count_nonzero(self._free))
 
     def allocate(self, n: int) -> list[int]:
         """Take n blocks (lowest ids first); atomic, with no effects on failure."""
-        if n > len(self._free):
-            raise AllocationError(f"need {n} blocks, only {len(self._free)} free")
-        blocks = [heapq.heappop(self._free) for _ in range(n)]
-        for b in blocks:
-            self._is_free[b] = False
-        return blocks
+        blocks = np.flatnonzero(self._free)[:n]
+        if len(blocks) != n:
+            raise AllocationError(f"need {n} blocks, only {self.num_free} free")
+        self._free[blocks] = False
+        return blocks.tolist()
 
     def free(self, blocks: list[int]) -> None:
         """Return blocks to the pool; atomic, with no effects on a bad list."""
-        seen = set()
-        for b in blocks:
-            if b < 0 or b >= self.num_blocks:
-                raise ContractViolation(f"block id {b} out of range")
-            if b in seen or self._is_free[b]:
-                raise ContractViolation(f"double free of block {b}")
-            seen.add(b)
-        for b in blocks:
-            self._is_free[b] = True
-            heapq.heappush(self._free, b)
+        ids = np.asarray(blocks, dtype=np.int64)
+        out = (ids < 0) | (ids >= self.num_blocks)
+        if out.any():
+            raise ContractViolation(f"block id {ids[out][0]} out of range")
+        ids, counts = np.unique(ids, return_counts=True)
+        twice = (counts > 1) | self._free[ids]
+        if twice.any():
+            raise ContractViolation(f"double free of block {ids[twice][0]}")
+        self._free[ids] = True
 
 
 class BlockTable:
@@ -182,12 +179,11 @@ def verify_compaction(
     dense_keys: np.ndarray,
     dense_values: np.ndarray,
     query: np.ndarray | None = None,
-    atol: float = 1e-6,
 ) -> bool:
     """Check the compacted paged cache against densely gathered tensors.
 
-    Entries must match elementwise within ``atol`` and a single-query
-    attention readout over both caches must agree within ``atol``. Shape
+    Entries must match elementwise within ``COMPACTION_ATOL`` and a
+    single-query attention readout over both caches must agree within it. Shape
     mismatches are reported as False with a diagnostic, not raised.
     """
     slots = table.slots(np.arange(table.logical_len))
@@ -199,17 +195,17 @@ def verify_compaction(
         )
         return False
     if not (
-        np.allclose(paged_k, dense_keys, atol=atol)
-        and np.allclose(paged_v, dense_values, atol=atol)
+        np.allclose(paged_k, dense_keys, atol=COMPACTION_ATOL)
+        and np.allclose(paged_v, dense_values, atol=COMPACTION_ATOL)
     ):
-        logger.warning("compaction value mismatch beyond atol=%g", atol)
+        logger.warning("compaction value mismatch beyond atol=%g", COMPACTION_ATOL)
         return False
     if query is None:
         query = np.ones((pool.kv_heads, pool.head_dim), dtype=np.float64)
     out_paged = attention_readout(paged_k, paged_v, query)
     out_dense = attention_readout(dense_keys, dense_values, query)
-    if not np.allclose(out_paged, out_dense, atol=atol):
-        logger.warning("attention readout mismatch beyond atol=%g", atol)
+    if not np.allclose(out_paged, out_dense, atol=COMPACTION_ATOL):
+        logger.warning("attention readout mismatch beyond atol=%g", COMPACTION_ATOL)
         return False
     return True
 

@@ -101,11 +101,16 @@ def cut_points(m: np.ndarray, delta: float) -> np.ndarray:
     if not (0.0 < delta <= 1.0):
         raise ContractViolation(f"delta must be in (0, 1], got {delta}")
     csum = np.cumsum(m, axis=-1)
-    n_thr = int(np.floor(csum[..., -1].max() / delta)) + 1
-    thresholds = np.arange(1, n_thr + 1, dtype=np.float64) * delta
-    # position i + 1 is a cut when a threshold t has csum[i - 1] < t <= csum[i]
-    crossed = np.searchsorted(thresholds, csum, side="right")
-    return np.flatnonzero(np.diff(crossed, axis=-1, prepend=0)) + 1
+    # crossed counts the thresholds j * delta (j >= 1) at or below each prefix
+    # sum: the quotient's floor, moved by one where it rounded across one. Past
+    # the float range the quotient is inf, and its NaN difference is a cut, as
+    # thresholds that dense lie between any two distinct prefix sums.
+    with np.errstate(over="ignore", invalid="ignore"):
+        crossed = np.floor(csum / delta)
+        crossed += (crossed + 1) * delta <= csum
+        crossed -= crossed * delta > csum
+        # position i + 1 is a cut when a threshold t has csum[i - 1] < t <= csum[i]
+        return np.flatnonzero(np.diff(crossed, axis=-1, prepend=0)) + 1
 
 
 def split_long(segs: SegmentSet, max_len: int) -> SegmentSet:

@@ -2,7 +2,7 @@
 
 Streams synthetic tokens through a single-layer decoder, fires a compression
 event every ``interval`` generated tokens, and records keep sets (as original
-token ids via the ledger), segment boundaries, quotas, and mass vectors into
+token ids, too), segment boundaries, quotas, and mass vectors into
 a RunTrace for the structural diagnostics. Attention rows come either from
 the decoder's own softmax attention or from a synthetic workload generator
 that shapes where attention mass sits. A run keeps no values, which nothing
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from masskv.core import CompressionConfig, ConfigError, TokenLedger, advance_ledger
+from masskv.core import CompressionConfig, ConfigError
 from masskv.engine import POLICIES, READS_ROWS, compress_event
 from masskv.mass import EmaCreditStore, UsageAccumulator
 from masskv.paged import attention_weights
@@ -221,8 +221,7 @@ class EventRecord:
     step: int                 # tokens generated when the event fired
     cache_len: int            # pre-compression cache length
     keep_positions: np.ndarray  # [heads, k], pre-compression coordinates
-    kept_ids: np.ndarray        # [heads, k], original token ids
-    id_watermark: int           # ids below this existed at this event
+    kept_ids: np.ndarray        # [heads, k], original token ids: a token's id is its step
     segments: list | None       # per head: boundaries [n_seg + 1]; AMS only
     quotas: list | None         # per head: quotas [n_seg]; AMS only
     mass: np.ndarray | None     # [heads, cache_len] mass; AMS only
@@ -300,20 +299,20 @@ def run_schedule(
         heads, dim = source.kv_heads, source.head_dim
         if reads_rows:
             decoder = source
-        if steps is None:
-            raise ConfigError("steps is required when driving a ToyDecoder directly")
     else:
         raise ConfigError(f"source must be a WorkloadSpec or ToyDecoder, got {type(source)}")
+    if not _count(steps):  # None too: a ToyDecoder run has no default
+        raise ConfigError(f"steps must be an integer >= 0, got {steps!r}")
     interval = cfg.interval
-    # an interval starts with t_cur <= t_keep, so its tokens always fit
-    capacity = t_keep + interval
+    # an interval starts with t_cur <= t_keep, so its tokens always fit, and
+    # the cache never holds more than steps tokens
+    capacity = min(t_keep + interval, steps)
+    ids = np.empty((heads, capacity), dtype=np.int64)  # the step each token was born at
     keys = None
     if decoder is not None:
         rng_in = np.random.default_rng(np.random.SeedSequence([int(seed), 0x117]))
         keys = np.zeros((heads, capacity, dim))
     t_cur = 0
-    ledger = TokenLedger.fresh(heads, 0)
-    pending = 0
     usage = UsageAccumulator()
     ema = policy == "ams" and cfg.ema_on
     credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, heads, capacity) if ema else None
@@ -332,6 +331,7 @@ def run_schedule(
 
     for start in range(0, steps, interval):
         n = min(interval, steps - start)
+        ids[:, t_cur : t_cur + n] = np.arange(start, start + n)
         if decoder is not None:
             xs = rng_in.normal(size=(n, dim))
             decoder.project(decoder.w_k, xs, out=keys[:, t_cur : t_cur + n])
@@ -356,7 +356,6 @@ def run_schedule(
                 # usage keeps its newest row, a copy, so no view pins the chunk
                 del rows, row
         t_cur += n
-        pending += n
 
         if n < interval or t_cur <= t_keep:
             continue
@@ -366,16 +365,14 @@ def run_schedule(
             policy, heads, t_cur, usage, None if keys is None else keys[:, :t_cur], cfg,
             scorer=scorer, credit=credit,
         )
-        ledger = advance_ledger(ledger, pending, keep)
-        pending = 0
+        kept_ids = np.take_along_axis(ids[:, :t_cur], keep, axis=1)
         trace.events.append(
             EventRecord(
                 index=len(trace.events),
                 step=start + n,
                 cache_len=t_cur,
                 keep_positions=keep,
-                kept_ids=ledger.ids,
-                id_watermark=ledger.next_id,
+                kept_ids=kept_ids,
                 segments=None if segs is None else segs.per_head(),
                 quotas=None if segs is None else np.split(quotas, segs.offsets[1:-1]),
                 mass=mass,
@@ -384,6 +381,7 @@ def run_schedule(
             )
         )
         kept = keep.shape[1]
+        ids[:, :kept] = kept_ids
         if keys is not None:
             keys[:, :kept] = keys[np.arange(heads)[:, None], keep]
         if credit is not None:
@@ -420,7 +418,7 @@ def trace_to_dict(trace: RunTrace, include_timing: bool = False) -> dict:
             "cache_len": ev.cache_len,
             "keep_positions": ev.keep_positions.tolist(),
             "kept_ids": ev.kept_ids.tolist(),
-            "id_watermark": ev.id_watermark,
+            "id_watermark": ev.step,
             "segments": None if ev.segments is None else [b.tolist() for b in ev.segments],
             "quotas": None if ev.quotas is None else [q.tolist() for q in ev.quotas],
             "mass": None if ev.mass is None else ev.mass.tolist(),

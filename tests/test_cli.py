@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from concurrent.futures import Future
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from masskv import cli
 from masskv.cli import ExperimentPlan, PlanEntry, cmd_run, load_plan, main
-from masskv.core import ConfigError, default_config
+from masskv.core import CompressionConfig, ConfigError, default_config
 
 
 def test_single_run_via_flags(tmp_path):
@@ -349,6 +350,39 @@ def test_bad_config_exits_2_before_any_run(tmp_path, capsys, text):
     assert rc == 2
     assert "configuration error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(CompressionConfig) if f.type.startswith("int")]
+)
+def test_config_integer_beyond_int64_exits_2_before_any_run(tmp_path, capsys, name):
+    cpath = tmp_path / "run.json"
+    cpath.write_text(json.dumps({"t_keep": 32, name: 2**63}))
+    rc = main(["run", "--config", str(cpath), "--steps", "128", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("flags", [["--t-keep", "32", "--interval", str(2**62)],
+                                   ["--t-keep", str(2**62), "--interval", "16"]],
+                         ids=["huge_interval", "huge_t_keep"])
+def test_budget_or_interval_beyond_the_run_finishes_with_no_events(tmp_path, flags):
+    # ams keeps EMA credit and keydiff keeps keys, both sized by the cache
+    rc = main(["run", "--policy", "ams", "--scorer", "keydiff", "--steps", "64",
+               "--out", str(tmp_path), *flags])
+    assert rc == 0
+    doc = json.loads((tmp_path / "ams_keydiff_uniform_seed0.json").read_text())
+    assert doc["events"] == []
+
+
+def test_tiny_segment_mass_runs(tmp_path):
+    cpath = tmp_path / "run.json"
+    cpath.write_text(json.dumps({"t_keep": 32, "interval": 32, "segment_mass": 1e-300}))
+    rc = main(["run", "--config", str(cpath), "--steps", "128", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "o" / "ams_expected_uniform_seed0.json").read_text())
+    assert len(doc["events"]) == 3
 
 
 @pytest.mark.parametrize("flag", ["--plan", "--config"])

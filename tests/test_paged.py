@@ -166,6 +166,14 @@ def test_free_list_conservation_over_op_sequences():
         pool.free([999])
 
 
+def test_allocate_takes_the_lowest_free_ids_first():
+    pool = BlockPool(num_blocks=6, block_size=2, kv_heads=1, head_dim=2)
+    assert pool.allocate(4) == [0, 1, 2, 3]
+    pool.free([2, 0])
+    assert pool.allocate(3) == [0, 2, 4]
+    assert pool.allocate(0) == [] and pool.num_free == 1
+
+
 def test_double_free_rejected():
     pool = BlockPool(num_blocks=4, block_size=2, kv_heads=1, head_dim=2)
     blocks = pool.allocate(2)

@@ -13,7 +13,7 @@ from masskv.segmentation import (
     split_long,
 )
 
-from reference import segment_reference
+from reference import cut_points_reference, segment_reference
 
 
 def _segs(*boundaries):
@@ -26,12 +26,35 @@ def test_cut_points_hand_trace():
     assert cuts.tolist() == [2, 3, 4]
     segs = segment(m, default_config().replace(min_seg_len=1, max_seg_len=256, segment_mass=0.25))
     assert list(segs) == [(0, 2), (2, 3), (3, 4)]
+    # prefix sums whose quotient by delta rounds below, then above, the count
+    # of thresholds fl(j * delta) they reach
+    assert cut_points(np.array([2.53, 0.11]), 0.11).tolist() == [1]
+    assert cut_points(np.array([3.0, 2.1, 1.7000000000000002, 0.1]), 0.1).tolist() == [1, 2, 3, 4]
 
 
 def test_cut_points_uniform_symmetry():
     m = np.full(8, 1 / 8)
     segs = segment(m, default_config().replace(min_seg_len=1, segment_mass=0.5))
     assert list(segs) == [(0, 4), (4, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_points_at_exact_threshold_hits_match_reference(data):
+    # masses that are whole multiples (or halves) of delta put prefix sums on
+    # or next to the thresholds, where a rounded quotient could miscount
+    delta = data.draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.05, 0.3, 0.11, 0.01]))
+    units = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=40))
+    m = np.array(units) * delta / data.draw(st.sampled_from([1, 2]))
+    assert cut_points(m, delta).tolist() == cut_points_reference(m, delta)
+
+
+@pytest.mark.parametrize("delta", [1e-300, 5e-324])
+def test_cut_points_tiny_delta_cuts_every_position(delta):
+    # 1 / delta thresholds could never be built; every prefix sum crosses one
+    m = np.random.default_rng(1).dirichlet(np.ones(50), size=3)
+    assert cut_points(m, delta).tolist() == list(range(1, 151))
+    assert cut_points(m[0], delta).tolist() == list(range(1, 51))
 
 
 def test_cut_points_delta_one_single_segment():

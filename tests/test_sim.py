@@ -309,9 +309,10 @@ def _event_keys(monkeypatch):
     return seen
 
 
-def _assert_keys_follow_the_ledger(trace, seen, calls):
-    """Row i of head h in an event's keys is the key of the token the ledger
-    puts at position i: the projection of that token's embedding."""
+def _assert_keys_follow_the_ids(trace, seen, calls):
+    """Row i of head h in an event's keys is the key of the token at position
+    i, as the event's kept ids and the ids born since place them: the
+    projection of that token's embedding."""
     w_k = next(w for name, w, _ in calls if name == "w_k")
     xs = np.concatenate([x for name, _, x in calls if name == "w_k"])
     token_keys = np.einsum("hij,sj->hsi", w_k, xs)  # indexed by token id
@@ -319,11 +320,11 @@ def _assert_keys_follow_the_ledger(trace, seen, calls):
     kept = np.zeros((trace.kv_heads, 0), dtype=np.int64)
     born = 0
     for keys, ev in zip(seen, trace.events):
-        fresh = np.arange(born, ev.id_watermark)
+        fresh = np.arange(born, ev.step)
         ids = np.concatenate([kept, np.broadcast_to(fresh, (trace.kv_heads, fresh.size))], axis=1)
         np.testing.assert_array_equal(keys, np.take_along_axis(token_keys, ids[..., None], axis=1))
         np.testing.assert_array_equal(np.take_along_axis(ids, ev.keep_positions, 1), ev.kept_ids)
-        kept, born = ev.kept_ids, ev.id_watermark
+        kept, born = ev.kept_ids, ev.step
 
 
 @pytest.mark.parametrize("scorer", ["expected", "recent", "constant"])
@@ -346,7 +347,7 @@ def test_keydiff_workload_run_projects_and_gathers_only_keys(monkeypatch):
     assert len(built) == 1 and len(trace.events) == 7
     # keys once per interval, never a query
     assert [(name, len(xs)) for name, _, xs in calls] == [("w_k", 32)] * 9 + [("w_k", 31)]
-    _assert_keys_follow_the_ledger(trace, seen, calls)
+    _assert_keys_follow_the_ids(trace, seen, calls)
 
 
 @pytest.mark.parametrize("case", LAZY_CASES.values(), ids=LAZY_CASES.keys())
@@ -367,7 +368,7 @@ def test_decoder_run_projects_keys_per_interval_and_queries_for_built_rows(monke
             expected.append(("w_q", rows))
     assert [(name, len(xs)) for name, _, xs in calls] == expected
     assert built == []
-    _assert_keys_follow_the_ledger(trace, seen, calls)
+    _assert_keys_follow_the_ids(trace, seen, calls)
 
 
 def test_a_key_cache_no_scorer_reads_changes_no_trace(monkeypatch):
@@ -449,8 +450,14 @@ def test_run_schedule_with_decoder_source():
     dec = ToyDecoder(seed=9, kv_heads=2, head_dim=8)
     trace = run_schedule(dec, "ams", CFG, steps=256)
     assert len(trace.events) == 2
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="steps"):
         run_schedule(ToyDecoder(seed=9), "ams", CFG)  # steps required
+    # steps sizes the cache-aligned arrays, so it must be a count
+    for source in (dec, WorkloadSpec("uniform", steps=64)):
+        for steps in (-1, 2.5, "64", True):
+            with pytest.raises(ConfigError, match="steps"):
+                run_schedule(source, "ams", CFG, steps=steps)
+        assert run_schedule(source, "ams", CFG, steps=0).events == []
 
 
 def test_run_trace_determinism_byte_identical(tmp_path):
@@ -506,16 +513,19 @@ def test_whole_runs_keep_budget_sinks_and_token_ids(data):
     # then every token born since, in arrival order
     ids, watermark = np.zeros((2, 0), dtype=np.int64), 0
     for ev in trace.events:
-        born = np.arange(watermark, ev.id_watermark)
+        born = np.arange(watermark, ev.step)
         pre_ids = np.concatenate([ids, np.tile(born, (2, 1))], axis=1)
         assert pre_ids.shape[1] == ev.cache_len > t_keep
         assert ev.keep_positions.shape == ev.kept_ids.shape == (2, t_keep)
+        assert 0 <= ev.keep_positions.min() and ev.keep_positions.max() < ev.cache_len
         assert (np.diff(ev.kept_ids, axis=1) > 0).all()
         assert (ev.kept_ids[:, : cfg.n_sink] == np.arange(cfg.n_sink)).all()
         kept = np.take_along_axis(pre_ids, ev.keep_positions, axis=1)
         np.testing.assert_array_equal(kept, ev.kept_ids)
-        ids, watermark = ev.kept_ids, ev.id_watermark
-    assert trace_to_dict(run()) == trace_to_dict(trace)
+        ids, watermark = ev.kept_ids, ev.step
+    doc = trace_to_dict(trace)
+    assert [e["id_watermark"] for e in doc["events"]] == [ev.step for ev in trace.events]
+    assert trace_to_dict(run()) == doc
 
 
 def test_workload_validation():
@@ -646,16 +656,15 @@ def _fake_trace(events, cfg=None):
     return trace
 
 
-def _event(index, keep, cache_len, ids=None, watermark=None):
+def _event(index, keep, cache_len, ids=None, step=None):
     keep = np.asarray(keep, dtype=np.int64)[None, :]
     ids = keep if ids is None else np.asarray(ids, dtype=np.int64)[None, :]
     return EventRecord(
         index=index,
-        step=(index + 1) * 10,
+        step=(index + 1) * 10 if step is None else step,
         cache_len=cache_len,
         keep_positions=keep,
         kept_ids=ids,
-        id_watermark=watermark if watermark is not None else cache_len,
         segments=None,
         quotas=None,
         mass=None,
@@ -671,10 +680,10 @@ def test_jaccard_examples():
 
 
 def test_metric_retained_iou_restricts_new_tokens():
-    # second event keeps id 9, born after the first event's watermark of 6:
-    # it is excluded from the comparison universe
-    e0 = _event(0, keep=[0, 1, 2], cache_len=6, ids=[0, 1, 2], watermark=6)
-    e1 = _event(1, keep=[0, 1, 2], cache_len=5, ids=[1, 2, 9], watermark=10)
+    # second event keeps id 6, the first token born after the first event at
+    # step 6: it is excluded from the comparison universe
+    e0 = _event(0, keep=[0, 1, 2], cache_len=6, ids=[0, 1, 2], step=6)
+    e1 = _event(1, keep=[0, 1, 2], cache_len=5, ids=[1, 2, 6], step=10)
     series = metric_retained_iou(_fake_trace([e0, e1]))
     np.testing.assert_allclose(series, [2 / 3])
     assert metric_retained_iou(_fake_trace([e0])).size == 0
