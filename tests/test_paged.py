@@ -10,6 +10,7 @@ from masskv.paged import (
     PagedRequest,
     attention_readout,
     compact,
+    read_dense,
     run_equivalence_fuzz,
     verify_compaction,
 )
@@ -24,6 +25,8 @@ def test_slots_examples():
         table.slots(32)
     with pytest.raises(ContractViolation):
         table.slots(np.array([0, -1]))
+    with pytest.raises(ContractViolation, match="integers"):
+        table.slots(np.array([1.9]))  # never truncated to position 1
 
     unit = BlockTable(1, [5, 9, 2], logical_len=3)
     assert unit.slots(np.arange(3)).tolist() == [5, 9, 2]
@@ -90,8 +93,9 @@ def test_compact_allocation_failure_is_atomic():
 @pytest.mark.parametrize(
     "keep",
     [[[0, 1, 12]], [[-1, 1, 2]], [[3, 1, 2]], [[1, 1, 2]], [[0, 1], [0, 1]],
-     np.zeros((1, 0)), [0, 1, 2]],
-    ids=["out_of_range", "negative", "unsorted", "duplicate", "wrong_heads", "empty", "one_dim"],
+     np.zeros((1, 0)), [0, 1, 2], [[0.0, 2.9, 7.5]]],
+    ids=["out_of_range", "negative", "unsorted", "duplicate", "wrong_heads", "empty", "one_dim",
+         "float"],
 )
 def test_compact_rejects_bad_keep_before_any_write(keep):
     rng = np.random.default_rng(9)
@@ -105,6 +109,68 @@ def test_compact_rejects_bad_keep_before_any_write(keep):
     assert pool.num_free == free
     np.testing.assert_array_equal(pool.keys, keys)
     np.testing.assert_array_equal(pool.values, values)
+
+
+def _interleaved_requests(pool, total, rng):
+    """Two requests filled a token at a time each, so their blocks alternate."""
+    a, b = PagedRequest(pool), PagedRequest(pool)
+    for _ in range(total):
+        for req in (a, b):
+            req.append(
+                rng.normal(size=(pool.kv_heads, pool.head_dim)),
+                rng.normal(size=(pool.kv_heads, pool.head_dim)),
+            )
+    return a, b
+
+
+def _assert_exact_compaction(pool, a, b, keep):
+    """Compact ``a`` by ``keep``: its cache must equal the dense gather bit for
+    bit, and every slot outside its first k positions must keep its bytes."""
+    dense_k, dense_v = a.dense_view()
+    other = b.dense_view()
+    keys, values = pool.keys.copy(), pool.values.copy()
+    table = compact(pool, a.table, keep)
+    k = keep.shape[1]
+    heads = range(keep.shape[0])
+    paged_k, paged_v = read_dense(pool, table)
+    np.testing.assert_array_equal(paged_k, np.stack([dense_k[h, keep[h]] for h in heads]))
+    np.testing.assert_array_equal(paged_v, np.stack([dense_v[h, keep[h]] for h in heads]))
+    untouched = np.ones(len(pool.keys), dtype=bool)
+    untouched[table.slots(np.arange(k))] = False
+    np.testing.assert_array_equal(pool.keys[untouched], keys[untouched])
+    np.testing.assert_array_equal(pool.values[untouched], values[untouched])
+    for got, want in zip(b.dense_view(), other):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("step", [1, 3, 5])
+@pytest.mark.parametrize("block_size", [1, 3, 16])
+@pytest.mark.parametrize("heads", [1, 3])
+def test_chunked_compaction_is_exact_across_chunk_boundaries(monkeypatch, step, block_size, heads):
+    # k = 47 is no multiple of any block size or step above 1, so the last
+    # chunk and the last kept block are both partial
+    dim, total, k = 2, 61, 47
+    monkeypatch.setattr(paged, "COMPACT_CHUNK_BYTES", step * heads * dim * 8)
+    rng = np.random.default_rng(100 * step + 10 * block_size + heads)
+    pool = BlockPool(2 * -(-total // block_size) + 1, block_size, heads, dim)
+    a, b = _interleaved_requests(pool, total, rng)
+    # a random keep set, the tail (every source k - total positions away) and
+    # the identity prefix (every source its own destination)
+    patterns = [np.sort(rng.choice(total, k, replace=False)), np.arange(total - k, total),
+                np.arange(k)]
+    _assert_exact_compaction(pool, a, b, np.stack(patterns[:heads]))
+
+
+def test_chunked_compaction_is_exact_at_the_paged_churn_shape():
+    # T = 1,152 tokens compacted to k = 1,024 over 8 heads, with the real
+    # chunk constant; at head_dim 16 the copy still spans several chunks
+    heads, dim, block_size, total, k = 8, 16, 16, 1152, 1024
+    assert paged.COMPACT_CHUNK_BYTES // (heads * dim * 8) < k
+    rng = np.random.default_rng(1152)
+    pool = BlockPool(2 * total // block_size, block_size, heads, dim)
+    a, b = _interleaved_requests(pool, total, rng)
+    keep = np.sort(rng.random((heads, total)).argsort(axis=-1)[:, :k], axis=-1)
+    _assert_exact_compaction(pool, a, b, keep)
 
 
 def test_compact_is_idempotent_under_identity_keep():
