@@ -81,6 +81,9 @@ class ExperimentPlan:
 
 def load_plan(path, out_dir=None) -> ExperimentPlan:
     raw = _read_json_object(path)
+    unknown = set(raw) - {"entries", "out_dir"}
+    if unknown:
+        raise ConfigError(f"plan {path}: unknown top-level keys {sorted(unknown)}")
     items = raw.get("entries", [])
     if not isinstance(items, list):
         raise ConfigError(f"plan {path}: entries must be a list")

@@ -6,7 +6,7 @@ internals used by the diagnostics. Every stage runs once per event over
 [heads, T] arrays: usage is folded, scored, smoothed, normalized and mixed
 with the EMA credit row-wise, all heads are segmented into one flat
 ``SegmentSet``, their quotas are apportioned together, and one ``select``
-ranks every row.
+picks every head's keep set.
 """
 
 from __future__ import annotations

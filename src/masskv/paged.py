@@ -124,14 +124,22 @@ class PagedRequest:
         self.decode_pos = 0
 
     def append(self, k_vec: np.ndarray, v_vec: np.ndarray) -> None:
-        """Write one token's per-head KV rows at the next logical position."""
-        bs = self.table.block_size
-        if self.table.logical_len == len(self.table.blocks) * bs:
-            self.table.blocks.extend(self.pool.allocate(1))
-        slot = self.table.blocks[self.table.logical_len // bs] * bs + self.table.logical_len % bs
-        self.pool.keys[slot] = k_vec
-        self.pool.values[slot] = v_vec
-        self.table.logical_len += 1
+        """Write one token's [kv_heads, head_dim] K and V arrays at the next
+        logical position; anything else is rejected with no effects."""
+        pool, table = self.pool, self.table
+        row = (pool.kv_heads, pool.head_dim)
+        # attribute reads, not np.shape: this runs once per decoded token
+        if getattr(k_vec, "shape", None) != row or getattr(v_vec, "shape", None) != row:
+            raise ContractViolation(
+                f"need {row} K and V arrays, got {np.shape(k_vec)} and {np.shape(v_vec)}"
+            )
+        n, bs = table.logical_len, table.block_size
+        if n == len(table.blocks) * bs:
+            table.blocks.extend(pool.allocate(1))
+        slot = table.blocks[n // bs] * bs + n % bs
+        pool.keys[slot] = k_vec
+        pool.values[slot] = v_vec
+        table.logical_len = n + 1
         self.decode_pos += 1
 
     def dense_view(self) -> tuple[np.ndarray, np.ndarray]:

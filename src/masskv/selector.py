@@ -3,12 +3,14 @@ whole-cache policies. Each takes [..., T] scores, one row per head, and
 handles every row in one call.
 
 Ranking is total and deterministic everywhere: higher score wins, NaN ranks
-last, ties go to the lower index. ``select`` needs that order inside every
-segment, so it ranks each row in full. The rest need it only at a budget
-boundary, which ``_best_n`` finds with a partition: global top-k is the
-must-keep set plus the best of the rest, fixed chunks are whole chunks plus
-the straddling chunk's best, and the fit to the budget keeps the best
-non-must picks (trimming) or adds the best unpicked positions (backfilling).
+last, ties go to the lower index. No row is ranked in full; every pick is
+made at a boundary that ``_best_n`` finds with a partition. AMS and the
+fixed-chunk baseline both give each segment a quota and keep its best
+positions (``_segment_picks``); fixed chunks take their quotas in the order
+of their chunk sums, the one sort left. Global top-k is the must-keep set
+plus the best of the rest, and the fit to the budget keeps the best
+non-must picks (trimming) or adds the best unpicked positions (backfilling),
+which keeps everything when T <= t_keep.
 """
 
 from __future__ import annotations
@@ -19,37 +21,10 @@ from masskv.core import ContractViolation
 from masskv.segmentation import SegmentSet, fixed_length_segments
 
 
-def _best_first(g: np.ndarray) -> np.ndarray:
-    """Indices ordered best-to-worst along the last axis: descending score,
-    ascending index.
-
-    The scores are argsorted without a stable sort, which is several times
-    faster; equal scores (and NaNs) may then come out in any order, so each
-    run of them is sorted by index in one integer sort of (run, index) keys.
-    """
-    neg = -np.asarray(g)
-    order = np.argsort(neg, axis=-1)
-    ranked = np.take_along_axis(neg, order, axis=-1)
-    a, b = ranked[..., :-1], ranked[..., 1:]
-    new_run = np.ones(order.shape, dtype=bool)
-    new_run[..., 1:] = (a != b) & ~(np.isnan(a) & np.isnan(b))
-    if not new_run.all():
-        t = order.shape[-1]
-        key = (np.cumsum(new_run) - 1) * t + order.ravel()
-        order = (np.sort(key) % t).reshape(order.shape)
-    return order
-
-
-def _everything(g: np.ndarray) -> np.ndarray:
-    """Every position of each row of [..., T] scores."""
-    return np.tile(np.arange(g.shape[-1]), g.shape[:-1] + (1,))
-
-
 def _best_n(g: np.ndarray, cand: np.ndarray, n) -> np.ndarray:
     """Mask of the ``n`` best ``cand`` positions of each row of the [..., T]
-    scores, in ``_best_first`` order: descending score, NaN last, ties to
-    the lower index. ``n`` is one count or one per row, at most the row's
-    candidates.
+    scores, best meaning descending score, NaN last and ties to the lower
+    index. ``n`` is one count or one per row, at most the row's candidates.
 
     Only the boundary needs an order. A partition finds each row's n-th
     key; every key better than it goes in, and the keys equal to it fill
@@ -61,12 +36,17 @@ def _best_n(g: np.ndarray, cand: np.ndarray, n) -> np.ndarray:
     shape = key.shape
     key = key.reshape(-1, shape[-1])
     n = np.broadcast_to(n, shape[:-1]).reshape(-1, 1)
+    top = n.max()
     # a row that takes none keeps edge -inf: no key is better, and every tie is cut
     edge = np.full(n.shape, -np.inf, dtype=key.dtype)
-    for k in np.unique(n[n > 0]):
-        # one kth per partition keeps NumPy on its fast selection path
-        rows = n[:, 0] == k
-        edge[rows] = np.partition(key[rows], k - 1, axis=-1)[:, k - 1 : k]
+    if top > 0:
+        # a row's n-th key is the top-th of the row padded with top - n keys
+        # of -inf, none greater than a key, then NaNs, none less: one kth
+        # for all rows keeps NumPy on its fast selection path
+        fill = np.where(np.arange(top - n.min()) < top - n, -np.inf, np.nan)
+        padded = np.concatenate([key, fill.astype(key.dtype)], axis=-1)
+        padded.partition(top - 1, axis=-1)
+        edge = padded[:, top - 1 : top]
     better, ties = key < edge, key == edge
     at_nan = np.isnan(edge)
     if at_nan.any():
@@ -86,6 +66,7 @@ def _fit_to_budget(mask: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: in
     min(t_keep, T) members; return them as sorted [..., k] positions."""
     total = g.shape[-1]
     target = min(t_keep, total)
+    must = np.asarray(must, dtype=np.int64)
     if must.size > target:
         raise ContractViolation("must-keep set exceeds the budget; reconcile it first")
     mask[..., must] = True
@@ -100,50 +81,49 @@ def _fit_to_budget(mask: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: in
     return np.flatnonzero(mask).reshape(mask.shape[:-1] + (target,)) % total
 
 
+def _segment_picks(
+    g: np.ndarray, starts: np.ndarray, lengths: np.ndarray, quotas: np.ndarray
+) -> np.ndarray:
+    """Mask of each segment's ``quotas`` best positions in the [..., T]
+    scores, where the segments tile the rows laid end to end: segment i is
+    flat positions [starts[i], starts[i] + lengths[i]). A segment whose
+    quota is its length is kept whole. The rest are picked in padded
+    [segments, width] windows, one per bit length of their lengths and as
+    wide as its longest member, so padding stays under 2x for any layout.
+    """
+    mask = np.repeat(quotas == lengths, lengths)
+    flat = g.reshape(-1)
+    part = np.flatnonzero((quotas > 0) & (quotas < lengths))
+    bits = np.frexp(lengths[part])[1]
+    for b in np.unique(bits):
+        seg = part[bits == b]
+        width = np.arange(lengths[seg].max())
+        cols = starts[seg, None] + width
+        # the overhang past a segment's end is no candidate
+        best = _best_n(flat.take(cols, mode="clip"), width < lengths[seg, None], quotas[seg])
+        mask[cols[best]] = True
+    return mask.reshape(g.shape)
+
+
 def select(
-    g: np.ndarray,
-    segs: SegmentSet,
-    quotas: np.ndarray,
-    must: np.ndarray,
-    t_keep: int,
+    g: np.ndarray, segs: SegmentSet, quotas: np.ndarray, must: np.ndarray, t_keep: int
 ) -> np.ndarray:
     """Union of per-segment top-quota picks and the must-keep set, fitted to
     exactly min(t_keep, T) indices per row of the [..., T] scores, one row
-    per head of ``segs``. Everything is kept when T <= t_keep. The picks
-    need an order inside every segment, so each row is ranked best-first
-    once and regrouped by segment."""
+    per head of ``segs``. Everything is kept when T <= t_keep."""
     g = np.asarray(g, dtype=np.float64)
-    must = np.asarray(must, dtype=np.int64)
-    total = g.shape[-1]
-    if total <= t_keep:
-        return _everything(g)
-    if segs.total != total or segs.boundaries[-1] != g.size:
+    if segs.total != g.shape[-1] or segs.boundaries[-1] != g.size:
         raise ContractViolation("segments do not tile the score vector")
     quotas, lengths = np.asarray(quotas, dtype=np.int64), segs.lengths
     if quotas.shape != lengths.shape or not ((quotas >= 0) & (quotas <= lengths)).all():
         raise ContractViolation(f"need one quota in [0, length] per segment, got {quotas}")
-    rows = g.reshape(-1, total)
-    # best-first positions in the rows laid end to end
-    flat = (_best_first(rows) + total * np.arange(len(rows))[:, None]).reshape(-1)
-    # segment ids in the smallest unsigned type that holds them, which NumPy
-    # radix-sorts; the stable regroup keeps best-first order within each
-    # segment, so segment i fills slots [start_i, end_i) and its first q_i
-    # slots are its picks
-    seg_of = np.repeat(np.arange(len(segs), dtype=np.min_scalar_type(len(segs))), lengths)
-    by_segment = flat[np.argsort(seg_of[flat], kind="stable")]
-    mask = np.zeros(g.shape, dtype=bool)
-    mask.reshape(-1)[by_segment[np.arange(g.size) < np.repeat(segs.starts + quotas, lengths)]] = True
-    del flat, by_segment  # the fit needs only the mask and the scores
-    return _fit_to_budget(mask, must, g, t_keep)
+    return _fit_to_budget(_segment_picks(g, segs.starts, lengths, quotas), must, g, t_keep)
 
 
 def baseline_global_topk(g: np.ndarray, must: np.ndarray, t_keep: int) -> np.ndarray:
     """Must-keep entries plus the t_keep - |must| best other positions of
     each row of the [..., T] scores, found at the budget boundary alone."""
     g = np.asarray(g, dtype=np.float64)
-    must = np.asarray(must, dtype=np.int64)
-    if g.shape[-1] <= t_keep:
-        return _everything(g)
     return _fit_to_budget(np.zeros(g.shape, dtype=bool), must, g, t_keep)
 
 
@@ -160,38 +140,26 @@ def baseline_streaming(total: int, n_sink: int, t_keep: int) -> np.ndarray:
 def baseline_fixed_chunk(
     g: np.ndarray, chunk_len: int, must: np.ndarray, t_keep: int
 ) -> np.ndarray:
-    """Rank each row's fixed chunks by summed score and keep whole chunks in
-    rank order; the straddling chunk, at most one per row, keeps its best
-    positions for what is left of the budget. The union with ``must`` is
-    then trimmed of its worst non-must picks. Only the short row of chunk
-    sums is ranked in full; the rows of the [..., T] scores are not."""
+    """Rank each row's fixed chunks by summed score and give each, in rank
+    order, as much of what is left of the budget as it holds; each chunk
+    then keeps its best positions for its quota. The union with ``must`` is
+    fitted to the budget as in ``select``."""
     if chunk_len < 1:
         raise ContractViolation("chunk_len must be >= 1")
     g = np.asarray(g, dtype=np.float64)
-    must = np.asarray(must, dtype=np.int64)
     total = g.shape[-1]
-    if total <= t_keep:
-        return _everything(g)
     rows = g.reshape(-1, total)
-    lengths = fixed_length_segments(total, chunk_len).lengths
+    chunks = fixed_length_segments(total, chunk_len, len(rows))
     # each sum has the bits of g[a:b].sum(), so tied chunks rank alike
     full = total - total % chunk_len
     sums = rows[:, :full].reshape(len(rows), -1, chunk_len).sum(axis=-1)
     if full < total:
         sums = np.concatenate([sums, rows[:, full:].sum(axis=-1, keepdims=True)], axis=-1)
-    ranked = _best_first(sums)
-    ranked_len = lengths[ranked]
+    # descending, NaN last, ties to the lower chunk
+    ranked = np.argsort(-sums, axis=-1, kind="stable")
+    ranked_len = chunks.lengths[ranked]
     before = np.cumsum(ranked_len, axis=-1) - ranked_len
     quotas = np.empty(sums.shape, dtype=np.int64)
     np.put_along_axis(quotas, ranked, np.clip(t_keep - before, 0, ranked_len), axis=-1)
-    mask = np.repeat(quotas == lengths, lengths, axis=-1)
-    r, c = np.nonzero((quotas > 0) & (quotas < lengths))
-    if r.size:
-        # a [straddling rows, chunk_len] window; a short last chunk's
-        # overhang is no candidate
-        cols = c[:, None] * chunk_len + np.arange(chunk_len)
-        inside = cols < total
-        best = _best_n(rows[r[:, None], np.minimum(cols, total - 1)], inside, quotas[r, c])
-        i, j = np.nonzero(best)
-        mask[r[i], cols[i, j]] = True
-    return _fit_to_budget(mask.reshape(g.shape), must, g, t_keep)
+    mask = _segment_picks(g, chunks.starts, chunks.lengths, quotas.ravel())
+    return _fit_to_budget(mask, must, g, t_keep)

@@ -110,6 +110,18 @@ def test_plan_rejects_collisions_and_unknown_keys(tmp_path):
         load_plan(ppath)
 
 
+def test_plan_rejects_unknown_top_level_keys(tmp_path, monkeypatch):
+    # a misspelt out_dir must not fall back to ./traces
+    monkeypatch.chdir(tmp_path)
+    entry = {"name": "x", "policy": "ams", "steps": 64, "config": {"t_keep": 32}}
+    ppath = tmp_path / "plan.json"
+    ppath.write_text(json.dumps({"entries": [entry], "out_dri": "x"}))
+    with pytest.raises(ConfigError, match="out_dri"):
+        load_plan(ppath)
+    assert main(["run", "--plan", str(ppath)]) == 2
+    assert not (tmp_path / "traces").exists() and not (tmp_path / "x").exists()
+
+
 def test_plan_bad_policy_exits_2(tmp_path):
     ppath = tmp_path / "plan.json"
     ppath.write_text(json.dumps({"entries": [{"name": "x", "policy": "nope"}]}))

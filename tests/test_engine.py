@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import masskv.engine as engine
-import masskv.selector as selector
 from masskv.allocation import compute_quotas, must_keep, reconcile_budget
 from masskv.core import default_config
 from masskv.engine import DEFAULT_CHUNK_LEN, compress_event
@@ -141,8 +140,9 @@ def test_baseline_events_match_the_per_head_oracles(data):
 
 def _count_calls(monkeypatch):
     """Calls per stage: the names the engine looks its stages up by and
-    every scorer call; also the length of each row ``_best_first`` ranks."""
-    calls, ranked = {}, []
+    every scorer call; also the last-axis length of each array that NumPy's
+    sort functions are handed."""
+    calls, sorted_lens = {}, []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -156,35 +156,36 @@ def _count_calls(monkeypatch):
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
     get = engine.get_scorer
     monkeypatch.setattr(engine, "get_scorer", lambda name: counted("score", get(name)))
-    best_first = selector._best_first
+    for name in ("sort", "argsort", "lexsort"):
+        def spy(a, *args, _fn=getattr(np, name), **kwargs):
+            sorted_lens.append(np.shape(a)[-1])
+            return _fn(a, *args, **kwargs)
 
-    def spy(g):
-        ranked.append(np.shape(g)[-1])
-        return best_first(g)
-
-    monkeypatch.setattr(selector, "_best_first", spy)
-    return calls, ranked
+        monkeypatch.setattr(np, name, spy)
+    return calls, sorted_lens
 
 
 @pytest.mark.parametrize(
     "policy, per_event",
     [
-        ("ams", {"score": 1, "segment": 1, "compute_quotas": 1, "select": 1,
-                 "full-row _best_first": 1}),
-        ("global_topk", {"score": 1, "baseline_global_topk": 1, "full-row _best_first": 0}),
-        ("fixed_chunk", {"score": 1, "baseline_fixed_chunk": 1, "full-row _best_first": 0}),
+        ("ams", {"score": 1, "segment": 1, "compute_quotas": 1, "select": 1}),
+        ("global_topk", {"score": 1, "baseline_global_topk": 1}),
+        ("fixed_chunk", {"score": 1, "baseline_fixed_chunk": 1}),
     ],
 )
 def test_each_stage_runs_once_per_event_not_once_per_head(monkeypatch, policy, per_event):
-    # only AMS ranks whole [heads, T] rows, once per event; the baselines
-    # order the budget boundary alone, and fixed chunks rank just the chunk sums
-    calls, ranked = _count_calls(monkeypatch)
+    # no policy sorts a whole [heads, T] row: AMS and the baselines order
+    # segment and budget boundaries alone, and fixed chunks sort just the
+    # chunk sums
+    calls, sorted_lens = _count_calls(monkeypatch)
     cfg = default_config().replace(t_keep=48, interval=64, window=32, n_last=8)
     for source in (WorkloadSpec("drifting_focus", steps=320, seed=2), ToyDecoder(2, kv_heads=5)):
         calls.clear()
-        ranked.clear()
+        sorted_lens.clear()
         trace = run_schedule(source, policy, cfg, steps=320, kv_heads=5, scorer="keydiff")
         assert trace.kv_heads == 5 and len(trace.events) == 5
         cache_lens = {e.cache_len for e in trace.events}
-        calls["full-row _best_first"] = sum(n in cache_lens for n in ranked)
+        assert not cache_lens & set(sorted_lens)
+        if policy == "fixed_chunk":  # the spy does see the chunk-sum sort
+            assert {-(-n // DEFAULT_CHUNK_LEN) for n in cache_lens} <= set(sorted_lens)
         assert calls == {name: n * len(trace.events) for name, n in per_event.items()}

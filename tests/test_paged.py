@@ -42,6 +42,26 @@ def _filled_request(pool, total, rng):
     return req
 
 
+def test_append_rejects_rows_of_the_wrong_shape_with_no_effects():
+    # the table is full, so the next append takes a fresh block first; a [D]
+    # vector and a scalar broadcast into every head, so only the shape check
+    # stops them
+    pool = BlockPool(4, 2, 3, 4)
+    req = PagedRequest(pool)
+    for _ in range(2):
+        req.append(np.ones((3, 4)), -np.ones((3, 4)))
+    before = (pool.num_free, list(req.table.blocks), req.table.logical_len, req.decode_pos)
+    keys, values = pool.keys.copy(), pool.values.copy()
+    row, short = np.ones((3, 4)), np.ones((2, 4))
+    for k_vec, v_vec in ((np.arange(4.0), np.arange(4.0)), (7.0, 7.0), (short, short),
+                         (row, short)):
+        with pytest.raises(ContractViolation, match="K and V arrays"):
+            req.append(k_vec, v_vec)
+        assert (pool.num_free, req.table.blocks, req.table.logical_len, req.decode_pos) == before
+    np.testing.assert_array_equal(pool.keys, keys)
+    np.testing.assert_array_equal(pool.values, values)
+
+
 def test_compact_identity_prefix():
     rng = np.random.default_rng(0)
     pool = BlockPool(num_blocks=8, block_size=4, kv_heads=2, head_dim=3)

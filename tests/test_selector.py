@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from masskv.allocation import compute_quotas, must_keep, reconcile_budget
 from masskv.core import ContractViolation, default_config
 from masskv.segmentation import SegmentSet, fixed_length_segments, segment
 from masskv.selector import (
-    _best_first,
     _best_n,
     baseline_fixed_chunk,
     baseline_global_topk,
@@ -89,7 +90,7 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 2.0]
 def test_best_n_matches_a_brute_force_ranking(data):
     # NaN, ±inf and signed zeros among the scores, a different n per row
     # from 0 to every candidate, ties straddling the boundary, rows with no
-    # candidates, float32 scores; _best_first must rank whole rows the same
+    # candidates, float32 scores
     rows = data.draw(st.integers(1, 4))
     t = data.draw(st.integers(1, 40))
     dtype = data.draw(st.sampled_from([np.float64, np.float32]))
@@ -108,7 +109,6 @@ def test_best_n_matches_a_brute_force_ranking(data):
     for r in range(rows):
         ranked = _ranked_reference(g[r], cand[r])
         assert np.flatnonzero(picked[r]).tolist() == sorted(ranked[: n[r]])
-        assert _best_first(g[r]).tolist() == _ranked_reference(g[r], np.ones(t, dtype=bool))
     if rows == 1:
         assert _best_n(g[0], cand[0], n[0]).tolist() == picked[0].tolist()
 
@@ -187,6 +187,76 @@ def test_select_matches_naive_reference():
         keep = select(g, segs, quotas.quotas, mk.indices, max(t_keep, 2))
         ref = select_reference(g, list(segs), quotas.quotas.tolist(), mk.indices.tolist(), max(t_keep, 2))
         assert keep.tolist() == ref
+
+
+def _comparable(g):
+    """Finite stand-ins for scores, ordered by Python's comparisons as the
+    selector orders the scores: NaN below all, -0.0 tied with 0.0."""
+    real = np.unique(g[~np.isnan(g)])
+    return np.where(np.isnan(g), -1, np.searchsorted(real, g)).tolist()
+
+
+def _tiling_lengths(rng, total):
+    """Segment lengths that tile [0, total): runs of up to 3, 40 or 300."""
+    lengths = []
+    while sum(lengths) < total:
+        lengths.append(int(rng.integers(1, rng.choice([4, 41, 301]))))
+    lengths[-1] -= sum(lengths) - total
+    return lengths
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_select_matches_reference_head_by_head(data):
+    # [heads, T] scores with NaN, ±inf, signed zeros and ties, also as
+    # float32; every head cut its own way into segments of 1 to 300 tokens,
+    # so that the windows fall into several bit-length groups; each quota 0,
+    # partial or full
+    heads = data.draw(st.integers(1, 3))
+    total = data.draw(st.integers(1, 320))
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rng.choice(SPECIAL, size=(heads, total))
+    if data.draw(st.booleans()):
+        g = np.where(rng.random(g.shape) < 0.8, rng.normal(size=g.shape), g)
+    g = g.astype(dtype)
+    per_head = [_tiling_lengths(rng, total) for _ in range(heads)]
+    lengths = np.concatenate(per_head)
+    segs = SegmentSet(np.concatenate([[0], np.cumsum(lengths)]), heads)
+    quotas = np.array([rng.choice([0, n, rng.integers(0, n + 1)]) for n in lengths])
+    # a budget of head 0's quotas, which needs no fit there when must is
+    # empty, or any budget
+    t_keep = max(1, int(quotas[: len(per_head[0])].sum()))
+    if data.draw(st.booleans()):
+        t_keep = data.draw(st.integers(1, total + 3))
+    n_must = data.draw(st.sampled_from([0, rng.integers(0, min(t_keep, total) + 1)]))
+    must = np.sort(rng.choice(total, size=n_must, replace=False))
+    keep = select(g, segs, quotas, must, t_keep)
+    first = 0
+    for h, head_lengths in enumerate(per_head):
+        bounds = np.cumsum([0] + head_lengths).tolist()
+        q = quotas[first : first + len(head_lengths)].tolist()
+        first += len(head_lengths)
+        ref = select_reference(_comparable(g[h]), list(zip(bounds, bounds[1:])), q, must, t_keep)
+        assert keep[h].tolist() == ref
+
+
+def test_select_memory_stays_near_the_scores_beside_one_long_segment():
+    # per head, one T/2 segment beside 512 segments of 16 tokens: one window
+    # as wide as the long segment would hold [8 * 513, 8192] scores
+    heads, total = 8, 16384
+    per_head = np.concatenate([[0], np.arange(total // 2, total + 1, 16)])
+    segs = SegmentSet(np.unique(np.arange(heads)[:, None] * total + per_head), heads)
+    g = np.random.default_rng(0).normal(size=(heads, total))
+    tracemalloc.start()
+    try:
+        keep = select(g, segs, segs.lengths // 2, np.arange(4), 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keep.shape == (heads, 6000)
+    assert len(segs) == heads * 513
+    assert peak < 4 * g.nbytes
 
 
 def test_select_degenerates_to_global_topk():
