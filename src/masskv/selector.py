@@ -69,6 +69,10 @@ def _fit_to_budget(mask: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: in
     must = np.asarray(must, dtype=np.int64)
     if must.size > target:
         raise ContractViolation("must-keep set exceeds the budget; reconcile it first")
+    if must.size and (np.diff(must) < 0).any():  # the engine's sets are sorted: O(|must|)
+        must = np.sort(must)
+    if must.size and not (0 <= must[0] and must[-1] < total and (np.diff(must) > 0).all()):
+        raise ContractViolation(f"must-keep positions must be distinct and in [0, {total})")
     mask[..., must] = True
     excess = mask.sum(axis=-1) - target
     if (excess > 0).any():

@@ -36,14 +36,7 @@ from masskv.scorers import READS_KEYS, SCORERS
 
 SCHEMA_VERSION = 1
 
-# each workload and the parameters it reads; every workload also reads "noise"
-WORKLOAD_PARAMS = {
-    "uniform": (),
-    "heavy_hitter": ("hitter_count", "hitter_weight"),
-    "drifting_focus": ("width", "drift", "phase", "floor"),
-    "low_region_adversarial": ("region_start", "region_len", "suppress"),
-}
-WORKLOADS = tuple(WORKLOAD_PARAMS)
+WORKLOADS = ("uniform", "heavy_hitter", "drifting_focus", "low_region_adversarial")
 
 # the most queries a ToyDecoder run scores in one attention_rows call
 QUERY_CHUNK = 16
@@ -59,20 +52,29 @@ def _check_dims(kv_heads, head_dim) -> None:
             raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
 
 
-# the values a parameter may take beyond converting to a finite float, which
-# every parameter must; hitter_count must also be <= steps. A drift of 1 wraps
-# the cache once per step, and a suppress above 1 would boost the region.
-PARAM_RANGES = {
-    "noise": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "hitter_count": ("an integer >= 0", _count),
-    "hitter_weight": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "width": ("finite and > 0", lambda v: v > 0),
-    "drift": ("in [-1, 1]", lambda v: -1 <= v <= 1),
-    "floor": ("in [0, 1]", lambda v: 0 <= v <= 1),
-    "region_start": ("an integer >= 0", _count),
-    "region_len": ("an integer >= 0", _count),
-    "suppress": ("in [0, 1]", lambda v: 0 <= v <= 1),
+# every workload parameter: the workload that reads it (None: all), its
+# default, whose type casts a given value, and the values it may take beyond
+# converting to a finite float, which all must. A drift of 1 wraps the cache
+# once per step, and a suppress above 1 would boost the region.
+WORKLOAD_PARAMS = {
+    "noise": (None, 0.05, "in [0, 1)", lambda v: 0 <= v < 1),
+    "hitter_count": ("heavy_hitter", 4, "an integer >= 0", _count),
+    "hitter_weight": ("heavy_hitter", 0.5, "in [0, 1)", lambda v: 0 <= v < 1),
+    "width": ("drifting_focus", 0.05, "finite and > 0", lambda v: v > 0),
+    "drift": ("drifting_focus", 0.002, "in [-1, 1]", lambda v: -1 <= v <= 1),
+    "phase": ("drifting_focus", 0.15, "finite", lambda v: True),
+    "floor": ("drifting_focus", 0.25, "in [0, 1]", lambda v: 0 <= v <= 1),
+    "region_start": ("low_region_adversarial", 32, "an integer >= 0", _count),
+    "region_len": ("low_region_adversarial", 64, "an integer >= 0", _count),
+    "suppress": ("low_region_adversarial", 0.05, "in [0, 1]", lambda v: 0 <= v <= 1),
 }
+
+
+def _read_params(name: str, given: dict) -> dict:
+    """Every parameter workload ``name`` reads: its ``given`` value or its
+    default, cast to the default's type (a float32 drift would make float32 rows)."""
+    return {key: type(default)(given.get(key, default))
+            for key, (reader, default, _, _) in WORKLOAD_PARAMS.items() if reader in (None, name)}
 
 
 class ToyDecoder:
@@ -127,7 +129,7 @@ class WorkloadSpec:
             raise ConfigError(f"workload seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("workload params must be a mapping of names to numbers")
-        unknown = set(self.params) - {"noise", *WORKLOAD_PARAMS[self.name]}
+        unknown = set(self.params) - set(_read_params(self.name, {}))
         if unknown:
             raise ConfigError(f"workload {self.name!r} does not read params {sorted(unknown)}")
         for key, value in self.params.items():
@@ -137,11 +139,15 @@ class WorkloadSpec:
                 finite = math.isfinite(value)
             except OverflowError:  # an int too big for a float
                 raise ConfigError(f"workload param {key} is too large for a float") from None
-            rule, ok = PARAM_RANGES.get(key, ("finite", lambda v: True))
+            _, _, rule, ok = WORKLOAD_PARAMS[key]
             if not (finite and ok(value)):
                 raise ConfigError(f"workload param {key}={value!r} must be {rule}")
         if self.params.get("hitter_count", 0) > self.steps:
             raise ConfigError(f"workload param hitter_count must be <= steps ({self.steps})")
+        # suppressing from position 0 to nothing zeroes every row of <= region_len tokens
+        p = _read_params(self.name, self.params)
+        if p.get("suppress") == 0 and p["region_start"] == 0 and p["region_len"] >= 1:
+            raise ConfigError("workload params suppress=0 and region_start=0 need region_len=0")
 
 
 def _jitter(base: np.ndarray, heads: int, rng, amp: float) -> np.ndarray:
@@ -165,52 +171,41 @@ class _WorkloadRows:
     """Stateful per-step attention-row generator for one workload."""
 
     def __init__(self, spec: WorkloadSpec, heads: int):
-        self.spec = spec
+        self.name = spec.name
         self.heads = heads
         self.rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), 0xA77E]))
-        self.amp = float(spec.params.get("noise", 0.05))
-        p = spec.params
+        self.params = _read_params(spec.name, spec.params)
         if spec.name == "heavy_hitter":
-            self.hitter_count = int(p.get("hitter_count", 4))
-            self.hitter_weight = float(p.get("hitter_weight", 0.5))
-            self.hitter_fracs = self.rng.uniform(0.05, 0.85, size=self.hitter_count)
-        elif spec.name == "drifting_focus":
-            self.width = float(p.get("width", 0.05))
-            self.drift = float(p.get("drift", 0.002))
-            self.phase = float(p.get("phase", 0.15))
-            self.floor = float(p.get("floor", 0.25))
-        elif spec.name == "low_region_adversarial":
-            self.region_start = int(p.get("region_start", 32))
-            self.region_len = int(p.get("region_len", 64))
-            self.suppress = float(p.get("suppress", 0.05))
+            self.hitter_fracs = self.rng.uniform(0.05, 0.85, size=self.params["hitter_count"])
 
     def rows(self, step: int, total: int) -> np.ndarray:
-        name = self.spec.name
+        name, p = self.name, self.params
         if name == "uniform":
             base = np.ones(total)
         elif name == "heavy_hitter":
             base = np.ones(total)
             pos = np.minimum((self.hitter_fracs * total).astype(np.int64), total - 1)
-            boost = self.hitter_weight / (1.0 - self.hitter_weight) * total / max(len(pos), 1)
+            boost = p["hitter_weight"] / (1.0 - p["hitter_weight"]) * total / max(len(pos), 1)
             base[pos] += boost
         elif name == "drifting_focus":
-            center = ((self.phase + self.drift * step) % 1.0) * max(total - 1, 1)
+            center = ((p["phase"] + p["drift"] * step) % 1.0) * max(total - 1, 1)
             rel = np.arange(total) - center
-            sigma = max(self.width * total, 1.0)
+            sigma = max(p["width"] * total, 1.0)
             bump = np.exp(-0.5 * (rel / sigma) ** 2)
-            base = self.floor / total + (1.0 - self.floor) * bump / bump.sum()
+            base = p["floor"] / total + (1.0 - p["floor"]) * bump / bump.sum()
         else:  # low_region_adversarial
             base = np.ones(total)
-            lo = min(self.region_start, total)
-            hi = min(self.region_start + self.region_len, total)
-            base[lo:hi] *= self.suppress
+            lo = min(p["region_start"], total)
+            hi = min(p["region_start"] + p["region_len"], total)
+            base[lo:hi] *= p["suppress"]
         base = base / base.sum()
-        return _jitter(base, self.heads, self.rng, self.amp)
+        return _jitter(base, self.heads, self.rng, p["noise"])
 
     def skip(self, step: int, total: int) -> None:
         """Leave the generator where ``rows(step, total)`` would: a row draws
-        one 64-bit value per uniform double, ``heads * total`` of them."""
-        self.rng.bit_generator.advance(self.heads * total)
+        one 64-bit value per uniform double, ``heads * total`` of them, which
+        ``advance`` takes only as a Python int."""
+        self.rng.bit_generator.advance(int(self.heads * total))
 
 
 @dataclass
@@ -260,20 +255,10 @@ def run_schedule(
 
     ``source`` is a WorkloadSpec (synthetic attention rows over a toy KV
     stream) or a ToyDecoder (its own attention rows). Events fire only when
-    the cache actually exceeds the budget.
-
-    Only a policy in ``READS_ROWS`` reads attention rows and keys; a run of
-    any other builds no row generator, query, key cache or embedding. For
-    the rest, keys are kept in ToyDecoder mode or for a scorer in
-    ``READS_KEYS``: projected in one call per interval and gathered in place
-    at each event. A workload run with any other scorer builds no decoder
-    and draws no input embeddings. An event reads the attention rows of its last
-    ``window`` steps since the previous event, and only those rows are built;
-    in ToyDecoder mode only their queries are projected, and in workload mode
-    no query is, and the rows are scored ``QUERY_CHUNK`` queries at a time.
-    Rows no event reads, such as those of a tail with no event after it, are
-    skipped. Each built row goes straight into the event's
-    ``UsageAccumulator``, a fresh one after each event.
+    the cache actually exceeds the budget. The module docstring says which
+    rows, queries and keys a run builds; a workload run with a scorer
+    outside ``READS_KEYS`` builds no decoder and draws no input embeddings,
+    and in ToyDecoder mode only the queries of built rows are projected.
     """
     # checked here, as a run with no event would never look either name up
     if policy not in POLICIES:
@@ -407,40 +392,30 @@ def _summarize(trace: RunTrace) -> None:
     }
 
 
+def _plain(value):
+    """``value`` with every dataclass as a dict of its fields, and every array
+    and NumPy scalar as Python lists and numbers, all the way down."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
 def trace_to_dict(trace: RunTrace, include_timing: bool = False) -> dict:
-    """JSON-ready dict; timing is excluded by default so that repeated runs
-    with the same (seed, config, policy) serialize byte-identically."""
-    events = []
-    for ev in trace.events:
-        rec = {
-            "index": ev.index,
-            "step": ev.step,
-            "cache_len": ev.cache_len,
-            "keep_positions": ev.keep_positions.tolist(),
-            "kept_ids": ev.kept_ids.tolist(),
-            "id_watermark": ev.step,
-            "segments": None if ev.segments is None else [b.tolist() for b in ev.segments],
-            "quotas": None if ev.quotas is None else [q.tolist() for q in ev.quotas],
-            "mass": None if ev.mass is None else ev.mass.tolist(),
-            "counters": ev.counters,
-        }
-        if include_timing:
-            rec["wall_time"] = ev.wall_time
-        events.append(rec)
-    return {
-        "schema_version": trace.schema_version,
-        "policy": trace.policy,
-        "scorer": trace.scorer,
-        "workload": trace.workload,
-        "workload_params": trace.workload_params,
-        "seed": trace.seed,
-        "steps": trace.steps,
-        "kv_heads": trace.kv_heads,
-        "head_dim": trace.head_dim,
-        "config": dataclasses.asdict(trace.config),
-        "events": events,
-        "summaries": trace.summaries,
-    }
+    """JSON-ready dict of every RunTrace and EventRecord field, plus schema 1's
+    ``id_watermark`` (the event's step). Timing is excluded by default so that
+    repeated runs with the same (seed, config, policy) serialize byte-identically."""
+    doc = _plain(trace)
+    for ev in doc["events"]:
+        ev["id_watermark"] = ev["step"]
+        if not include_timing:
+            del ev["wall_time"]
+    return doc
 
 
 def write_trace_json(trace: RunTrace, path, include_timing: bool = False) -> None:

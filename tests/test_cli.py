@@ -295,6 +295,10 @@ def test_cmd_run_library_parity(tmp_path):
                       "workload_params": {"suppress": 1e308}}]},
         {"entries": [{"name": "x", "policy": "ams", "workload": "heavy_hitter", "steps": 128,
                       "workload_params": {"hitter_count": 129}}]},
+        # every row of at most region_len tokens would be all zero
+        {"entries": [{"name": "x", "policy": "ams", "workload": "low_region_adversarial",
+                      "workload_params": {"region_start": 0, "suppress": 0},
+                      "config": {"t_keep": 32, "interval": 16, "window": 16}, "steps": 256}]},
         # traces that would land outside the out directory, have no name, or never be written
         {"entries": [{"name": "../escaped", "policy": "streaming"}]},
         {"entries": [{"name": "sub/x", "policy": "streaming"}]},
@@ -317,8 +321,8 @@ def test_cmd_run_library_parity(tmp_path):
          "negative_hitter_count", "later_entry_noise_out_of_range", "negative_region_len",
          "later_entry_drift_too_big_for_a_float", "suppress_too_big_for_a_float",
          "later_entry_drift_1e308", "suppress_1e308",
-         "more_hitters_than_steps", "name_escapes_out_dir", "name_with_a_directory",
-         "empty_name", "name_not_a_string", "name_with_a_nul", "no_seeds",
+         "more_hitters_than_steps", "zero_rows_at_region_start", "name_escapes_out_dir",
+         "name_with_a_directory", "empty_name", "name_not_a_string", "name_with_a_nul", "no_seeds",
          "out_dir_not_a_string", "out_dir_null", "later_entry_negative_seed",
          "unhashable_seed"],
 )

@@ -61,6 +61,24 @@ def test_select_trim_never_removes_must_keep():
     assert len(keep) == 4
 
 
+def test_must_keep_positions_out_of_range_or_repeated_are_rejected():
+    # a negative position would wrap to the row's end, a repeated one would
+    # count twice toward the budget, and one past the end would index out
+    g = np.arange(8.0)
+    bad = [
+        lambda: select(g[::-1], SegmentSet.single(8), [2], [-1], 3),
+        lambda: baseline_global_topk(g, [1, 1, 1], 3),
+        lambda: baseline_global_topk(g, [8], 3),
+        lambda: select(g, SegmentSet.single(8), [3], [6, 2, 6], 3),
+        lambda: baseline_fixed_chunk(g, 4, [0, 8], 3),
+    ]
+    for call in bad:
+        with pytest.raises(ContractViolation, match="must-keep positions"):
+            call()
+    # distinct positions in any order are a must-keep set
+    assert baseline_global_topk(g, [5, 0], 3).tolist() == [0, 5, 7]
+
+
 def test_baseline_streaming_examples():
     assert baseline_streaming(100, 4, 10).tolist() == [0, 1, 2, 3] + list(range(94, 100))
     assert baseline_streaming(8, 4, 10).tolist() == list(range(8))

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import masskv.sim as sim
@@ -161,6 +163,34 @@ def test_skip_leaves_the_generator_where_rows_would(name):
         skipped.skip(step, total)
         assert drawn.rng.bit_generator.state == skipped.rng.bit_generator.state
     np.testing.assert_array_equal(drawn.rows(9, 42), skipped.rows(9, 42))
+
+
+# the documented default of every parameter each workload reads
+DEFAULTS = {
+    "uniform": {"noise": 0.05},
+    "heavy_hitter": {"noise": 0.05, "hitter_count": 4, "hitter_weight": 0.5},
+    "drifting_focus": {"noise": 0.05, "width": 0.05, "drift": 0.002, "phase": 0.15,
+                       "floor": 0.25},
+    "low_region_adversarial": {"noise": 0.05, "region_start": 32, "region_len": 64,
+                               "suppress": 0.05},
+}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_every_default_given_explicitly_changes_no_row(name):
+    implicit = _WorkloadRows(WorkloadSpec(name, steps=60, seed=3), heads=2)
+    explicit = _WorkloadRows(WorkloadSpec(name, steps=60, seed=3, params=DEFAULTS[name]), heads=2)
+    for step, total in ((0, 1), (1, 2), (5, 40), (59, 300)):
+        assert implicit.rows(step, total).tobytes() == explicit.rows(step, total).tobytes()
+        assert implicit.rng.bit_generator.state == explicit.rng.bit_generator.state
+
+
+def test_readme_lists_every_workload_parameter_with_its_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.findall(r"\| `(\w+)` \| ([\d.]+) \|", readme)
+    table = {key: default for key, (_, default, _, _) in sim.WORKLOAD_PARAMS.items()}
+    assert {key: float(default) for key, default in listed} == table
+    assert {key: v for defaults in DEFAULTS.values() for key, v in defaults.items()} == table
 
 
 def _uniform_jitter(base, heads, rng, amp):
@@ -568,6 +598,9 @@ def test_workload_validation():
         ("drifting_focus", {"width": 10**400}),
         ("drifting_focus", {"phase": -(10**400)}),
         ("low_region_adversarial", {"suppress": 10**400}),
+        # every row of at most region_len tokens would be all zero
+        ("low_region_adversarial", {"region_start": 0, "suppress": 0}),
+        ("low_region_adversarial", {"region_start": 0, "region_len": 1, "suppress": 0.0}),
     ]
     for name, params in out_of_range:
         with pytest.raises(ConfigError):
@@ -585,6 +618,64 @@ def test_workload_validation():
     assert run_schedule(spec, "ams", CFG).steps == 10
     spec = WorkloadSpec("heavy_hitter", steps=10, params={"hitter_count": 10})
     assert run_schedule(spec, "ams", CFG).steps == 10
+
+
+MAX = sys.float_info.max
+ALMOST_ONE = float(np.nextafter(1.0, 0.0))
+# values at the edges of each parameter's range, ints given for floats too;
+# "steps" stands for the run's step count
+PARAM_EDGES = {
+    "noise": [0, 0.0, ALMOST_ONE],
+    "hitter_count": [0, 1, "steps"],
+    "hitter_weight": [0, ALMOST_ONE],
+    "width": [5e-324, 1, MAX],
+    "drift": [-1, 1, -1.0, 1.0],
+    "phase": [-MAX, 0, MAX],
+    "floor": [0, 1, 1.0],
+    "region_start": [0, 1, 2**64],
+    "region_len": [0, 1, 2**64],
+    "suppress": [0, 0.0, 1],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_accepted_workload_runs_at_its_parameter_edges(data):
+    name = data.draw(st.sampled_from(WORKLOADS), label="workload")
+    steps = data.draw(st.integers(16, 64), label="steps")
+    params = {}
+    for key in DEFAULTS[name]:
+        if data.draw(st.booleans(), label=f"sets {key}"):
+            value = data.draw(st.sampled_from(PARAM_EDGES[key]), label=key)
+            params[key] = steps if value == "steps" else value
+    try:
+        spec = WorkloadSpec(name, steps=steps, seed=data.draw(st.integers(0, 3)), params=params)
+    except ConfigError:
+        assume(False)
+    # the first event, at step 16, reads the rows of every step from the first
+    cfg = CFG.replace(t_keep=8, interval=8, window=16, n_sink=2, n_last=2)
+    trace = run_schedule(spec, "ams", cfg)
+    assert len(trace.events) == steps // 8 - 1
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "t.json"
+        write_trace_json(trace, path)
+        assert json.loads(path.read_text())["workload_params"] == params
+
+
+@pytest.mark.parametrize("scorer", ["expected", "keydiff"])
+def test_numpy_numbers_run_and_write_as_python_numbers(tmp_path, scorer):
+    def trace_bytes(as_int, as_float, stem):
+        cfg = CFG.replace(t_keep=as_int(48), interval=as_int(32), window=as_int(16))
+        spec = WorkloadSpec("drifting_focus", steps=as_int(200), seed=5,
+                            params={"drift": as_float(0.003)})
+        trace = run_schedule(spec, "ams", cfg, scorer=scorer, kv_heads=as_int(3))
+        write_trace_json(trace, tmp_path / f"{stem}.json")
+        write_trace_csv(trace, tmp_path / f"{stem}.csv")
+        return [(tmp_path / f"{stem}.{ext}").read_bytes() for ext in ("json", "csv")]
+
+    numpy = trace_bytes(np.int64, np.float32, "numpy")
+    plain = trace_bytes(lambda v: np.int64(v).item(), lambda v: np.float32(v).item(), "plain")
+    assert numpy == plain
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
@@ -729,12 +820,19 @@ def test_trace_json_schema_and_csv(tmp_path):
     spec = WorkloadSpec("uniform", steps=256, seed=0)
     trace = run_schedule(spec, "ams", CFG)
     doc = trace_to_dict(trace)
-    for key in ("schema_version", "policy", "scorer", "config", "events", "summaries"):
-        assert key in doc
+    # schema 1 exactly: a field added to RunTrace or EventRecord changes it
+    assert set(doc) == {
+        "schema_version", "policy", "scorer", "workload", "workload_params", "seed",
+        "steps", "kv_heads", "head_dim", "config", "events", "summaries",
+    }
     assert doc["schema_version"] == 1
-    assert all("wall_time" not in ev for ev in doc["events"])
+    event_keys = {
+        "index", "step", "cache_len", "keep_positions", "kept_ids", "id_watermark",
+        "segments", "quotas", "mass", "counters",
+    }
+    assert doc["events"] and all(set(ev) == event_keys for ev in doc["events"])
     timed = trace_to_dict(trace, include_timing=True)
-    assert all("wall_time" in ev for ev in timed["events"])
+    assert all(set(ev) == event_keys | {"wall_time"} for ev in timed["events"])
 
     jpath = tmp_path / "t.json"
     write_trace_json(trace, jpath)
