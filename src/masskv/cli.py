@@ -124,7 +124,10 @@ def cmd_run(plan: ExperimentPlan, base_cfg: CompressionConfig, jobs: int = 1) ->
             (entry, WorkloadSpec(entry.workload, entry.steps, seed, entry.workload_params), cfg)
             for seed in entry.seeds
         ]
-    plan.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        plan.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {plan.out_dir}: {exc}") from None
     # a pool starts all its workers at the first submit, so start no more than
     # there are runs
     workers = min(jobs, len(tasks))
@@ -152,19 +155,23 @@ def cmd_compact_check(n_cases: int, seed: int, corrupt: bool = False) -> int:
     return 0 if failed == 0 else 1
 
 
+# the flags that describe a single run, and their defaults; a plan entry names its own
+SINGLE_RUN = dict(policy="ams", scorer="expected", workload="uniform", steps=1024, seed=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="masskv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a policy schedule (flags or plan file)")
     run_p.add_argument("--plan", help="JSON plan file of entries to run")
-    run_p.add_argument("--policy", choices=POLICIES, default="ams")
-    run_p.add_argument("--scorer", choices=sorted(SCORERS), default="expected")
-    run_p.add_argument("--workload", choices=WORKLOADS, default="uniform")
+    run_p.add_argument("--policy", choices=POLICIES)
+    run_p.add_argument("--scorer", choices=sorted(SCORERS))
+    run_p.add_argument("--workload", choices=WORKLOADS)
     run_p.add_argument("--t-keep", type=int, help="post-compression cache budget")
     run_p.add_argument("--interval", type=int, help="tokens between compression events")
-    run_p.add_argument("--steps", type=int, default=1024)
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--steps", type=int)
+    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--config", help="JSON object of config fields, as in a plan entry's config")
     run_p.add_argument("--out", help="output directory (default: plan's out_dir, else ./traces)")
     run_p.add_argument("--jobs", type=int, default=1, help="parallel plan entries")
@@ -192,17 +199,16 @@ def main(argv=None) -> int:
             overrides["interval"] = args.interval
         if overrides:
             cfg = cfg.replace(**overrides)
+        given = {k: v for k in SINGLE_RUN if (v := getattr(args, k)) is not None}
         if args.plan:
+            if given:
+                raise ConfigError(f"--{', --'.join(given)}: single-run flags cannot go with --plan")
             plan = load_plan(args.plan, out_dir=args.out)
         else:
-            entry = PlanEntry(
-                name=f"{args.policy}_{args.scorer}_{args.workload}",
-                policy=args.policy,
-                scorer=args.scorer,
-                workload=args.workload,
-                steps=args.steps,
-                seeds=[args.seed],
-            )
+            run = {**SINGLE_RUN, **given}
+            seed = run.pop("seed")
+            name = "{policy}_{scorer}_{workload}".format(**run)
+            entry = PlanEntry(name=name, seeds=[seed], **run)
             plan = ExperimentPlan(entries=[entry], out_dir=Path(args.out or "traces"))
         return cmd_run(plan, cfg, jobs=args.jobs)
     except ConfigError as exc:

@@ -12,18 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def jaccard(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain Jaccard overlap of two index sets; empty-vs-empty counts as 1.
-
-    Neither ``a`` nor ``b`` may repeat an id (an event's kept ids never do),
-    so the union is |a| + |b| - |a & b|.
-    """
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    union = len(a) + len(b) - inter
-    if union == 0:
-        return 1.0
-    return float(inter / union)
+from masskv.allocation import must_keep
 
 
 def metric_retained_iou(trace) -> np.ndarray:
@@ -35,13 +24,14 @@ def metric_retained_iou(trace) -> np.ndarray:
         return np.zeros(0, dtype=np.float64)
     series = []
     for prev, cur in zip(events[:-1], events[1:]):
-        per_head = []
-        for h in range(prev.kept_ids.shape[0]):
-            old = prev.kept_ids[h]
-            new = cur.kept_ids[h]
-            new = new[new < prev.step]
-            per_head.append(jaccard(old, new))
-        series.append(float(np.mean(per_head)))
+        # compared ids are below prev.step, so an offset of h * prev.step keeps
+        # head h apart; no kept set repeats an id, so |union| = |a| + |b| - |a & b|
+        offset = prev.step * np.arange(prev.kept_ids.shape[0])[:, None]
+        born = cur.kept_ids < prev.step
+        inter = (born & np.isin(cur.kept_ids + offset, prev.kept_ids + offset)).sum(axis=1)
+        union = prev.kept_ids.shape[1] + born.sum(axis=1) - inter
+        iou = np.where(union > 0, inter / np.maximum(union, 1), 1.0)  # empty vs empty: 1
+        series.append(float(np.mean(iou)))
     return np.asarray(series, dtype=np.float64)
 
 
@@ -55,22 +45,19 @@ def metric_wipeout_rate(trace, window_w: int = 32) -> float:
     """
     if window_w < 1:
         raise ValueError("window_w must be >= 1")
-    cfg = trace.config
     rates = []
     for ev in trace.events:
-        lo = min(cfg.n_sink, ev.cache_len)
-        hi = max(ev.cache_len - cfg.n_last, lo)
-        n_windows = (hi - lo) // window_w
+        # the interior is what must_keep leaves, before budget reconciliation
+        must = must_keep(ev.cache_len, trace.config)
+        lo = must.sinks.size
+        n_windows = (ev.cache_len - must.recent.size - lo) // window_w
         if n_windows == 0:
             continue
-        edges = lo + window_w * np.arange(n_windows + 1)
-        head_rates = []
-        for h in range(ev.keep_positions.shape[0]):
-            kept = ev.keep_positions[h]
-            kept = kept[(kept >= lo) & (kept < edges[-1])]
-            counts, _ = np.histogram(kept, bins=edges)
-            head_rates.append((counts == 0).sum() / n_windows)
-        rates.append(float(np.mean(head_rates)))
+        window = (ev.keep_positions - lo) // window_w
+        inside = (ev.keep_positions >= lo) & (window < n_windows)
+        hit = np.zeros((ev.keep_positions.shape[0], n_windows), dtype=bool)
+        hit[np.nonzero(inside)[0], window[inside]] = True
+        rates.append(float(np.mean((n_windows - hit.sum(axis=1)) / n_windows)))
     return float(np.mean(rates)) if rates else 0.0
 
 
@@ -80,19 +67,16 @@ def metric_spatial_histogram(trace, bins: int = 10) -> np.ndarray:
     hollow middle; an even policy shows a flat profile."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    totals = np.zeros(bins)
-    samples = 0
+    fracs = []
     for ev in trace.events:
-        t = ev.cache_len
-        bucket = np.minimum((np.arange(t) * bins) // t, bins - 1)
-        bin_sizes = np.bincount(bucket, minlength=bins).astype(np.float64)
-        for h in range(ev.keep_positions.shape[0]):
-            kept_bucket = bucket[ev.keep_positions[h]]
-            kept = np.bincount(kept_bucket, minlength=bins).astype(np.float64)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                frac = np.where(bin_sizes > 0, kept / bin_sizes, 0.0)
-            totals += frac
-            samples += 1
-    if samples == 0:
+        heads = ev.keep_positions.shape[0]
+        bucket = np.minimum(np.arange(ev.cache_len) * bins // ev.cache_len, bins - 1)
+        bin_sizes = np.bincount(bucket, minlength=bins)
+        pairs = np.arange(heads)[:, None] * bins + bucket[ev.keep_positions]
+        kept = np.bincount(pairs.ravel(), minlength=heads * bins).reshape(heads, bins)
+        fracs.append(kept / np.maximum(bin_sizes, 1))  # an empty bin keeps nothing: 0
+    if not fracs:
         return np.zeros(bins)
-    return totals / samples
+    rows = np.concatenate(fracs)
+    # add the rows one at a time in event and head order; a plain sum rounds otherwise
+    return np.cumsum(rows, axis=0)[-1] / rows.shape[0]

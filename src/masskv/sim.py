@@ -46,6 +46,10 @@ def _count(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
 
 
+class _Default(int):
+    """A dimension left at its default: a ToyDecoder run takes its decoder's."""
+
+
 def _check_dims(kv_heads, head_dim) -> None:
     for name, v in (("kv_heads", kv_heads), ("head_dim", head_dim)):
         if not (_count(v) and v >= 1):
@@ -248,8 +252,8 @@ def run_schedule(
     cfg: CompressionConfig,
     steps: int | None = None,
     scorer: str = "expected",
-    kv_heads: int = 2,
-    head_dim: int = 16,
+    kv_heads: int = _Default(2),
+    head_dim: int = _Default(16),
 ) -> RunTrace:
     """Decode ``steps`` tokens, compressing to ``t_keep`` every ``interval``.
 
@@ -259,6 +263,8 @@ def run_schedule(
     rows, queries and keys a run builds; a workload run with a scorer
     outside ``READS_KEYS`` builds no decoder and draws no input embeddings,
     and in ToyDecoder mode only the queries of built rows are projected.
+    A ToyDecoder run has its decoder's ``kv_heads`` and ``head_dim``; a
+    given value that differs from them is a ConfigError.
     """
     # checked here, as a run with no event would never look either name up
     if policy not in POLICIES:
@@ -273,7 +279,7 @@ def run_schedule(
         steps = steps if steps is not None else workload.steps
         seed = workload.seed
         _check_dims(kv_heads, head_dim)
-        heads, dim = kv_heads, head_dim
+        heads, dim = int(kv_heads), int(head_dim)
         if reads_rows:
             row_gen = _WorkloadRows(workload, heads)
             if scorer in READS_KEYS:
@@ -282,6 +288,9 @@ def run_schedule(
         workload = None
         seed = source.seed
         heads, dim = source.kv_heads, source.head_dim
+        for name, given, own in (("kv_heads", kv_heads, heads), ("head_dim", head_dim, dim)):
+            if not isinstance(given, _Default) and given != own:
+                raise ConfigError(f"{name}={given!r} differs from the decoder's {own}")
         if reads_rows:
             decoder = source
     else:

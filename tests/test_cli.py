@@ -413,6 +413,33 @@ def test_missing_or_unreadable_input_path_exits_2(tmp_path, capsys, flag, kind):
     assert [p.name for p in tmp_path.iterdir()] == (["input.json"] if kind == "directory" else [])
 
 
+@pytest.mark.parametrize("kind", ["file", "under_a_file"])
+def test_output_directory_that_cannot_be_made_exits_2_before_any_run(tmp_path, capsys, kind):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if kind == "file" else blocker / "o"
+    rc = main(["run", "--t-keep", "32", "--steps", "64", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and str(out) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"] and blocker.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--policy", "streaming"), ("--scorer", "keydiff"), ("--workload", "heavy_hitter"),
+     ("--steps", "5"), ("--seed", "0")],
+)
+def test_single_run_flag_beside_plan_exits_2(tmp_path, capsys, flag, value):
+    ppath = tmp_path / "plan.json"
+    ppath.write_text(json.dumps({"entries": [{"name": "x", "policy": "ams", "steps": 64}]}))
+    out = tmp_path / "o"
+    rc = main(["run", "--plan", str(ppath), flag, value, "--t-keep", "16", "--out", str(out)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shipped_ablation_plan_passes_every_pre_run_check(tmp_path, monkeypatch):
     # the README points users at this plan; load and check it, but run nothing
     runs = []

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import masskv.sim as sim
 from masskv.core import ConfigError, default_config
 from masskv.diagnostics import (
-    jaccard,
     metric_retained_iou,
     metric_spatial_histogram,
     metric_wipeout_rate,
@@ -705,6 +704,17 @@ def test_workload_runs_reject_heads_and_widths_below_one(dim, bad):
     assert run_schedule(spec, "ams", CFG, scorer="keydiff", kv_heads=1, head_dim=1).events
 
 
+@pytest.mark.parametrize("dim, own", [("kv_heads", 3), ("head_dim", 8)])
+def test_toy_decoder_runs_reject_other_heads_and_widths(dim, own):
+    dec = ToyDecoder(0, kv_heads=3, head_dim=8)
+    for bad in (own + 4, own - 1, None, "8"):
+        with pytest.raises(ConfigError, match=dim):
+            run_schedule(dec, "ams", CFG, steps=128, **{dim: bad})
+    trace = run_schedule(dec, "ams", CFG, steps=128, **{dim: own})
+    assert (trace.kv_heads, trace.head_dim) == (3, 8)
+    assert trace_to_dict(trace) == trace_to_dict(run_schedule(dec, "ams", CFG, steps=128))
+
+
 DETERMINISM_SCRIPT = """
 import hashlib, json
 from masskv.core import default_config
@@ -764,10 +774,12 @@ def _event(index, keep, cache_len, ids=None, step=None):
     )
 
 
-def test_jaccard_examples():
-    assert jaccard(np.array([1, 2, 3]), np.array([2, 3, 4])) == 0.5
-    assert jaccard(np.array([1, 2]), np.array([1, 2])) == 1.0
-    assert jaccard(np.array([1]), np.array([2])) == 0.0
+def test_metric_retained_iou_jaccard_examples():
+    for old, new, iou in [([1, 2, 3], [2, 3, 4], 0.5), ([1, 2], [1, 2], 1.0), ([1], [2], 0.0),
+                          ([], [], 1.0)]:  # empty vs empty counts as 1
+        e0 = _event(0, keep=old, cache_len=8, step=8)
+        e1 = _event(1, keep=new, cache_len=8, step=16)
+        assert metric_retained_iou(_fake_trace([e0, e1])).tolist() == [iou]
 
 
 def test_metric_retained_iou_restricts_new_tokens():
@@ -814,6 +826,93 @@ def test_metric_spatial_histogram_uniform_random_keep():
     per_bin = t / bins
     sigma = np.sqrt(frac * (1 - frac) / per_bin)
     assert (np.abs(hist - frac) < 3 * sigma + 1e-9).all()
+
+
+def _naive_iou(trace):
+    """Per-head Jaccard overlap of kept ids, one head at a time."""
+    series = []
+    for prev, cur in zip(trace.events[:-1], trace.events[1:]):
+        per_head = []
+        for h in range(prev.kept_ids.shape[0]):
+            old, new = prev.kept_ids[h], cur.kept_ids[h]
+            new = new[new < prev.step]
+            inter = np.intersect1d(old, new, assume_unique=True).size
+            union = len(old) + len(new) - inter
+            per_head.append(1.0 if union == 0 else float(inter / union))
+        series.append(float(np.mean(per_head)))
+    return series
+
+
+def _naive_wipeout(trace, window_w):
+    """Empty-window share of [n_sink, T - n_last), one head at a time."""
+    cfg, rates = trace.config, []
+    for ev in trace.events:
+        lo = min(cfg.n_sink, ev.cache_len)
+        hi = max(ev.cache_len - cfg.n_last, lo)
+        n_windows = (hi - lo) // window_w
+        if n_windows == 0:
+            continue
+        edges = lo + window_w * np.arange(n_windows + 1)
+        head_rates = []
+        for h in range(ev.keep_positions.shape[0]):
+            kept = ev.keep_positions[h]
+            counts, _ = np.histogram(kept[(kept >= lo) & (kept < edges[-1])], bins=edges)
+            head_rates.append((counts == 0).sum() / n_windows)
+        rates.append(float(np.mean(head_rates)))
+    return float(np.mean(rates)) if rates else 0.0
+
+
+def _naive_histogram(trace, bins):
+    """Retained fraction per bin, totalled one head and one event at a time."""
+    totals, samples = np.zeros(bins), 0
+    for ev in trace.events:
+        t = ev.cache_len
+        bucket = np.minimum((np.arange(t) * bins) // t, bins - 1)
+        sizes = np.bincount(bucket, minlength=bins).astype(np.float64)
+        for h in range(ev.keep_positions.shape[0]):
+            kept = np.bincount(bucket[ev.keep_positions[h]], minlength=bins).astype(np.float64)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                totals += np.where(sizes > 0, kept / sizes, 0.0)
+            samples += 1
+    return totals / samples if samples else np.zeros(bins)
+
+
+@st.composite
+def _fake_runs(draw):
+    """A fake multi-head trace: kept sets that are random, empty, identical
+    to the previous event's, or born wholly after the previous event."""
+    heads = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = default_config().replace(t_keep=8, n_sink=draw(st.integers(0, 12)),
+                                   n_last=draw(st.integers(0, 24)))
+    events, step = [], 0
+    for index in range(draw(st.integers(1, 5))):
+        mode = draw(st.sampled_from(["random", "empty", "same", "new"]))
+        t = draw(st.integers(1, 96))
+        prev_step, step = step, step + t + draw(st.integers(0, 64))
+        if mode == "same" and events:
+            ids = events[-1].kept_ids.copy()
+            t = max(t, ids.shape[1])
+        else:
+            k = 0 if mode == "empty" else draw(st.integers(0, t))
+            lo = prev_step if mode == "new" else 0
+            ids = np.stack([np.sort(rng.choice(np.arange(lo, step), k, replace=False))
+                            for _ in range(heads)])
+        keep = np.stack([np.sort(rng.choice(t, ids.shape[1], replace=False))
+                         for _ in range(heads)])
+        events.append(EventRecord(index=index, step=step, cache_len=t, keep_positions=keep,
+                                  kept_ids=ids, segments=None, quotas=None, mass=None,
+                                  counters={}, wall_time=0.0))
+    return _fake_trace(events, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_fake_runs(), window_w=st.integers(1, 8) | st.integers(1, 128),
+       bins=st.integers(1, 12) | st.integers(1, 128))
+def test_metrics_equal_a_per_head_loop(trace, window_w, bins):
+    assert metric_retained_iou(trace).tolist() == _naive_iou(trace)
+    assert metric_wipeout_rate(trace, window_w) == _naive_wipeout(trace, window_w)
+    assert metric_spatial_histogram(trace, bins).tolist() == _naive_histogram(trace, bins).tolist()
 
 
 def test_trace_json_schema_and_csv(tmp_path):
