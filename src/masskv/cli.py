@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from masskv.core import CompressionConfig, ConfigError, ContractViolation, default_config
+from masskv.core import (CompressionConfig, ConfigError, ContractViolation, check_name,
+                         default_config)
 from masskv.engine import POLICIES
 from masskv.paged import run_equivalence_fuzz
 from masskv.scorers import SCORERS
@@ -57,10 +58,8 @@ class PlanEntry:
         plain = isinstance(self.name, str) and Path(self.name).name == self.name
         if not plain or not self.name or "\0" in self.name:
             raise ConfigError(f"plan entry name {self.name!r} must be a plain file name")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"plan entry {self.name!r}: unknown policy {self.policy!r}")
-        if self.scorer not in SCORERS:
-            raise ConfigError(f"plan entry {self.name!r}: unknown scorer {self.scorer!r}")
+        check_name("policy", self.policy, POLICIES, where=f"plan entry {self.name!r}: ")
+        check_name("scorer", self.scorer, SCORERS, where=f"plan entry {self.name!r}: ")
         if not (isinstance(self.seeds, list) and self.seeds):
             raise ConfigError(f"plan entry {self.name!r}: seeds must be a non-empty list")
         if not isinstance(self.config, dict):
@@ -94,6 +93,8 @@ def load_plan(path, out_dir=None) -> ExperimentPlan:
         unknown = set(item) - {f.name for f in dataclasses.fields(PlanEntry)}
         if unknown:
             raise ConfigError(f"plan entry {i}: unknown keys {sorted(unknown)}")
+        if "policy" not in item:
+            raise ConfigError(f"plan entry {i}: missing key 'policy'")
         item.setdefault("name", f"entry{i}")
         entries.append(PlanEntry(**item))
     if not entries:

@@ -1,4 +1,5 @@
-"""Compression configuration and the errors every module raises."""
+"""Compression configuration, the checks of every run input, and the errors
+every module raises."""
 
 from __future__ import annotations
 
@@ -45,34 +46,14 @@ class CompressionConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if not _has_type(getattr(self, f.name), f.type):
-                raise ConfigError(f"{f.name}={getattr(self, f.name)!r} is not a valid {f.type}")
-        if not (0.0 < self.segment_mass <= 1.0):
-            raise ConfigError(f"segment_mass must be in (0, 1], got {self.segment_mass}")
-        if not (0.0 < self.ema_decay < 1.0):
-            raise ConfigError(f"ema_decay must be in (0, 1), got {self.ema_decay}")
-        if not (0.0 <= self.mass_mix <= 1.0):
-            raise ConfigError(f"mass_mix must be in [0, 1], got {self.mass_mix}")
+            value = getattr(self, f.name)
+            if f.name == "t_keep" and value is None:
+                continue
+            rule, ok = CONFIG_RULES.get(f.name, ("a bool", lambda v: True))
+            if not (is_value(value, f.type.split()[0]) and ok(value)):
+                raise ConfigError(f"{f.name}={value!r} must be {rule}")
         if self.min_seg_len > self.max_seg_len:
-            raise ConfigError(
-                f"min_seg_len {self.min_seg_len} exceeds max_seg_len {self.max_seg_len}"
-            )
-        if self.min_seg_len < 1:
-            raise ConfigError("min_seg_len must be >= 1")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.smooth_kernel < 1 or self.smooth_kernel % 2 == 0:
-            raise ConfigError(f"smooth_kernel must be odd and >= 1, got {self.smooth_kernel}")
-        if self.interval < 1:
-            raise ConfigError("interval must be >= 1")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
-        if self.min_quota < 0:
-            raise ConfigError("min_quota must be >= 0")
-        if self.n_sink < 0 or self.n_last < 0:
-            raise ConfigError("n_sink and n_last must be >= 0")
-        if self.t_keep is not None and self.t_keep < 1:
-            raise ConfigError(f"t_keep must be >= 1, got {self.t_keep}")
+            raise ConfigError(f"min_seg_len={self.min_seg_len!r} must be <= max_seg_len")
 
     def replace(self, /, **changes) -> "CompressionConfig":
         # self is positional-only, so even a key named "self" gets this check
@@ -89,17 +70,46 @@ class CompressionConfig:
         return self.t_keep
 
 
-def _has_type(value, annotation: str) -> bool:
-    """Whether a config value fits its field's annotation: integers include
-    NumPy ones and must fit in an int64, as the arrays that hold them do;
-    floats are finite reals, and a bool fits only a bool field."""
-    if isinstance(value, bool) or annotation == "bool":
-        return isinstance(value, bool) and annotation == "bool"
-    if annotation == "float":
+# every number field of CompressionConfig: the values it may take, which
+# name its kind, and its range check; the field's annotation gives its kind,
+# and min_seg_len <= max_seg_len is checked across the two fields
+CONFIG_RULES = {
+    "t_keep": ("an integer >= 1", lambda v: v >= 1),
+    "interval": ("an integer >= 1", lambda v: v >= 1),
+    "segment_mass": ("a number in (0, 1]", lambda v: 0 < v <= 1),
+    "min_seg_len": ("an integer >= 1", lambda v: v >= 1),
+    "max_seg_len": ("an integer >= 1", lambda v: v >= 1),
+    "min_quota": ("an integer >= 0", lambda v: v >= 0),
+    "n_sink": ("an integer >= 0", lambda v: v >= 0),
+    "n_last": ("an integer >= 0", lambda v: v >= 0),
+    "ema_decay": ("a number in (0, 1)", lambda v: 0 < v < 1),
+    "mass_mix": ("a number in [0, 1]", lambda v: 0 <= v <= 1),
+    "window": ("an integer >= 1", lambda v: v >= 1),
+    "epsilon": ("a number > 0", lambda v: v > 0),
+    "smooth_kernel": ("an odd integer >= 1", lambda v: v >= 1 and v % 2 == 1),
+}
+
+
+def is_value(value, kind: str) -> bool:
+    """Whether ``value`` is a run input of ``kind``: "bool" is a bool; "int"
+    an integer, NumPy's included, that fits an int64, as the arrays that hold
+    it do; "float" a finite real, integers included. A bool is never an int
+    or a float, and an integer too large for a float is not finite."""
+    if isinstance(value, bool) or kind == "bool":
+        return isinstance(value, bool) and kind == "bool"
+    if kind == "int":
+        return isinstance(value, numbers.Integral) and -(2**63) <= value < 2**63
+    try:
         return isinstance(value, numbers.Real) and math.isfinite(value)
-    if isinstance(value, numbers.Integral):
-        return -(2**63) <= value < 2**63
-    return value is None and annotation == "int | None"
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def check_name(kind: str, value, choices, where: str = "") -> None:
+    """Raise a ConfigError unless ``value`` is one of the names ``choices``;
+    a value that is not a string, hashable or not, is none of them."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{where}unknown {kind} {value!r}; choose from {', '.join(choices)}")
 
 
 def default_config() -> CompressionConfig:

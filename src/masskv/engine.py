@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from masskv.allocation import compute_quotas, must_keep, reconcile_budget
-from masskv.core import CompressionConfig, ConfigError, ContractViolation
+from masskv.core import CompressionConfig, ContractViolation, check_name
 from masskv.mass import EmaCreditStore, UsageAccumulator, normalize_mass, smooth
 from masskv.scorers import get_scorer
 from masskv.segmentation import SegmentSet, segment
@@ -58,8 +58,7 @@ def compress_event(
     compresses, the segments of all heads, their flat quotas and the
     [heads, T] history-aware mass; the last three are None otherwise.
     """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    check_name("policy", policy, POLICIES)
     t_keep = cfg.require_t_keep()
     score_fn = get_scorer(scorer)
     if policy not in READS_ROWS:

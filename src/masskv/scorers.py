@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from masskv.core import ConfigError, ContractViolation
+from masskv.core import ContractViolation, check_name
 
 
 def score_recent_attention(newest: np.ndarray, usage: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -69,6 +69,5 @@ def get_scorer(name: str):
     attention rows of the newest query, the [..., T] usage folded from the
     recent rows, and the [..., T, D] keys (None when the caller has none),
     one leading index per head."""
-    if name not in SCORERS:
-        raise ConfigError(f"unknown scorer {name!r}; choose from {sorted(SCORERS)}")
+    check_name("scorer", name, SCORERS)
     return SCORERS[name]

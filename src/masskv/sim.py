@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from masskv.core import CompressionConfig, ConfigError
+from masskv.core import CompressionConfig, ConfigError, check_name, is_value
 from masskv.engine import POLICIES, READS_ROWS, compress_event
 from masskv.mass import EmaCreditStore, UsageAccumulator
 from masskv.paged import attention_weights
@@ -43,7 +41,7 @@ QUERY_CHUNK = 16
 
 
 def _count(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+    return is_value(v, "int") and v >= 0
 
 
 class _Default(int):
@@ -57,20 +55,20 @@ def _check_dims(kv_heads, head_dim) -> None:
 
 
 # every workload parameter: the workload that reads it (None: all), its
-# default, whose type casts a given value, and the values it may take beyond
-# converting to a finite float, which all must. A drift of 1 wraps the cache
-# once per step, and a suppress above 1 would boost the region.
+# default, whose type is the kind of value it takes and casts a given value,
+# and the values it may take. A drift of 1 wraps the cache once per step, and
+# a suppress above 1 would boost the region.
 WORKLOAD_PARAMS = {
-    "noise": (None, 0.05, "in [0, 1)", lambda v: 0 <= v < 1),
-    "hitter_count": ("heavy_hitter", 4, "an integer >= 0", _count),
-    "hitter_weight": ("heavy_hitter", 0.5, "in [0, 1)", lambda v: 0 <= v < 1),
-    "width": ("drifting_focus", 0.05, "finite and > 0", lambda v: v > 0),
-    "drift": ("drifting_focus", 0.002, "in [-1, 1]", lambda v: -1 <= v <= 1),
-    "phase": ("drifting_focus", 0.15, "finite", lambda v: True),
-    "floor": ("drifting_focus", 0.25, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "region_start": ("low_region_adversarial", 32, "an integer >= 0", _count),
-    "region_len": ("low_region_adversarial", 64, "an integer >= 0", _count),
-    "suppress": ("low_region_adversarial", 0.05, "in [0, 1]", lambda v: 0 <= v <= 1),
+    "noise": (None, 0.05, "a number in [0, 1)", lambda v: 0 <= v < 1),
+    "hitter_count": ("heavy_hitter", 4, "an integer >= 0", lambda v: v >= 0),
+    "hitter_weight": ("heavy_hitter", 0.5, "a number in [0, 1)", lambda v: 0 <= v < 1),
+    "width": ("drifting_focus", 0.05, "a number > 0", lambda v: v > 0),
+    "drift": ("drifting_focus", 0.002, "a number in [-1, 1]", lambda v: -1 <= v <= 1),
+    "phase": ("drifting_focus", 0.15, "a number", lambda v: True),
+    "floor": ("drifting_focus", 0.25, "a number in [0, 1]", lambda v: 0 <= v <= 1),
+    "region_start": ("low_region_adversarial", 32, "an integer >= 0", lambda v: v >= 0),
+    "region_len": ("low_region_adversarial", 64, "an integer >= 0", lambda v: v >= 0),
+    "suppress": ("low_region_adversarial", 0.05, "a number in [0, 1]", lambda v: 0 <= v <= 1),
 }
 
 
@@ -125,8 +123,7 @@ class WorkloadSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in WORKLOADS:
-            raise ConfigError(f"unknown workload {self.name!r}; choose from {WORKLOADS}")
+        check_name("workload", self.name, WORKLOADS)
         if not (_count(self.steps) and self.steps >= 1):
             raise ConfigError(f"workload steps must be an integer >= 1, got {self.steps!r}")
         if not _count(self.seed):
@@ -137,14 +134,8 @@ class WorkloadSpec:
         if unknown:
             raise ConfigError(f"workload {self.name!r} does not read params {sorted(unknown)}")
         for key, value in self.params.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"workload param {key}={value!r} is not a number")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int too big for a float
-                raise ConfigError(f"workload param {key} is too large for a float") from None
-            _, _, rule, ok = WORKLOAD_PARAMS[key]
-            if not (finite and ok(value)):
+            _, default, rule, ok = WORKLOAD_PARAMS[key]
+            if not (is_value(value, type(default).__name__) and ok(value)):
                 raise ConfigError(f"workload param {key}={value!r} must be {rule}")
         if self.params.get("hitter_count", 0) > self.steps:
             raise ConfigError(f"workload param hitter_count must be <= steps ({self.steps})")
@@ -205,11 +196,13 @@ class _WorkloadRows:
         base = base / base.sum()
         return _jitter(base, self.heads, self.rng, p["noise"])
 
-    def skip(self, step: int, total: int) -> None:
-        """Leave the generator where ``rows(step, total)`` would: a row draws
-        one 64-bit value per uniform double, ``heads * total`` of them, which
-        ``advance`` takes only as a Python int."""
-        self.rng.bit_generator.advance(int(self.heads * total))
+    def skip(self, total: int, count: int) -> None:
+        """Leave the generator where ``count`` calls of ``rows``, over
+        ``total``, ``total + 1``, ... tokens, would: a row draws one 64-bit
+        value per uniform double, ``heads * total`` of them, which ``advance``
+        takes only as a Python int."""
+        tokens = count * total + count * (count - 1) // 2
+        self.rng.bit_generator.advance(int(self.heads * tokens))
 
 
 @dataclass
@@ -267,10 +260,8 @@ def run_schedule(
     given value that differs from them is a ConfigError.
     """
     # checked here, as a run with no event would never look either name up
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    if scorer not in SCORERS:
-        raise ConfigError(f"unknown scorer {scorer!r}; choose from {sorted(SCORERS)}")
+    check_name("policy", policy, POLICIES)
+    check_name("scorer", scorer, SCORERS)
     t_keep = cfg.require_t_keep()
     reads_rows = policy in READS_ROWS
     decoder = row_gen = None
@@ -334,8 +325,7 @@ def run_schedule(
         e = (start + max(0, t_keep - t_cur)) // interval * interval + interval - 1
         first = min(n, max(0, e - cfg.window + 1 - start)) if e < steps and reads_rows else n
         if row_gen is not None:
-            for i in range(first):
-                row_gen.skip(start + i, t_cur + i + 1)
+            row_gen.skip(t_cur + 1, first)
             for i in range(first, n):
                 usage.add(row_gen.rows(start + i, t_cur + i + 1))
         elif first < n:

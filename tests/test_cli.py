@@ -1,13 +1,18 @@
 import dataclasses
 import json
+import tempfile
 from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masskv import cli
 from masskv.cli import ExperimentPlan, PlanEntry, cmd_run, load_plan, main
 from masskv.core import CompressionConfig, ConfigError, default_config
+
+from test_core import JSON_LIKE
 
 
 def test_single_run_via_flags(tmp_path):
@@ -101,6 +106,9 @@ def test_plan_rejects_collisions_and_unknown_keys(tmp_path):
     ppath = tmp_path / "plan.json"
     ppath.write_text(json.dumps({"entries": [{"policy": "ams", "wat": 1}]}))
     with pytest.raises(ConfigError, match="unknown keys"):
+        load_plan(ppath)
+    ppath.write_text(json.dumps({"entries": [{"name": "x", "policy": "ams"}, {"steps": 64}]}))
+    with pytest.raises(ConfigError, match="plan entry 1: missing key 'policy'"):
         load_plan(ppath)
     ppath.write_text("{not json")
     with pytest.raises(ConfigError, match="line"):
@@ -311,6 +319,12 @@ def test_cmd_run_library_parity(tmp_path):
         {"entries": [{"name": "x", "policy": "streaming"},
                      {"name": "y", "policy": "streaming", "seeds": [0, -1]}]},
         {"entries": [{"name": "x", "policy": "streaming", "seeds": [0, [1]]}]},
+        # a scorer or policy name that is no string (and unhashable), no policy
+        # at all, and an integer too large for a float in a float field
+        {"entries": [{"name": "x", "policy": "ams", "scorer": {}}]},
+        {"entries": [{"name": "x", "policy": []}]},
+        {"entries": [{"name": "x", "policy": "streaming"}, {"name": "y", "steps": 64}]},
+        {"entries": [{"name": "x", "policy": "ams", "config": {"ema_decay": 10**400}}]},
     ],
     ids=["not_an_object", "unknown_config_key", "non_integer_steps", "seeds_not_ints",
          "entries_not_a_list", "entry_not_an_object", "config_not_an_object",
@@ -324,7 +338,8 @@ def test_cmd_run_library_parity(tmp_path):
          "more_hitters_than_steps", "zero_rows_at_region_start", "name_escapes_out_dir",
          "name_with_a_directory", "empty_name", "name_not_a_string", "name_with_a_nul", "no_seeds",
          "out_dir_not_a_string", "out_dir_null", "later_entry_negative_seed",
-         "unhashable_seed"],
+         "unhashable_seed", "scorer_not_a_string", "policy_not_a_string",
+         "later_entry_without_a_policy", "float_config_value_too_big_for_a_float"],
 )
 def test_bad_plan_exits_2_before_any_run(tmp_path, capsys, plan):
     ppath = tmp_path / "plan.json"
@@ -378,6 +393,34 @@ def test_config_integer_beyond_int64_exits_2_before_any_run(tmp_path, capsys, na
     assert rc == 2
     assert "configuration error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(CompressionConfig) if f.type == "float"]
+)
+def test_config_float_beyond_a_float_exits_2_before_any_run(tmp_path, capsys, name):
+    cpath = tmp_path / "run.json"
+    cpath.write_text(json.dumps({"t_keep": 32, name: 10**400}))
+    rc = main(["run", "--config", str(cpath), "--steps", "128", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(PlanEntry)]),
+                       JSON_LIKE))
+def test_no_plan_entry_raises_anything_but_a_config_error(changes):
+    # through JSON, as the CLI reads a plan, and every pre-run check; no run starts
+    entry = {"name": "x", "policy": "ams", "steps": 64, **changes}
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_run_one", lambda *args: None)
+        ppath = Path(out) / "plan.json"
+        ppath.write_text(json.dumps({"entries": [entry]}))
+        try:
+            cmd_run(load_plan(ppath, out_dir=Path(out) / "o"), default_config().replace(t_keep=32))
+        except ConfigError:
+            pass
 
 
 @pytest.mark.parametrize("flags", [["--t-keep", "32", "--interval", str(2**62)],

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masskv.core import CompressionConfig, ConfigError, default_config
 from masskv.cli import main
@@ -40,7 +43,8 @@ def test_config_rejects_out_of_range():
     "bad",
     [{"t_keep": "16"}, {"t_keep": 16.0}, {"window": 2.5}, {"n_sink": True},
      {"ema_decay": False}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
-     {"ema_on": "false"}, {"ema_on": 1}, {"fixed_length_segments_on": None}],
+     {"ema_on": "false"}, {"ema_on": 1}, {"fixed_length_segments_on": None},
+     {"ema_decay": 10**400}, {"mass_mix": -(10**400)}, {"n_last": 2**63}],
 )
 def test_config_rejects_wrong_types(bad):
     with pytest.raises(ConfigError):
@@ -88,3 +92,27 @@ def test_config_file_roundtrip_bit_exact(tmp_path):
         again = (tmp_path / "b" / first.name).with_suffix(suffix)
         assert again.read_bytes() == first.with_suffix(suffix).read_bytes()
 
+
+# JSON-like values at and past the ends of every kind a run input may take:
+# int64's ends, integers too large for a float, NaN and infinities, and
+# strings, lists and objects, which no number field takes
+JSON_LIKE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**400, -(10**400)]),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(CompressionConfig)]),
+                       JSON_LIKE))
+def test_no_config_value_raises_anything_but_a_config_error(changes):
+    try:
+        default_config().replace(**changes).require_t_keep()
+    except ConfigError:
+        pass

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import masskv.engine as engine
 from masskv.allocation import compute_quotas, must_keep, reconcile_budget
-from masskv.core import default_config
+from masskv.core import ConfigError, default_config
 from masskv.engine import DEFAULT_CHUNK_LEN, compress_event
 from masskv.mass import EmaCreditStore, UsageAccumulator, normalize_mass, smooth
 from masskv.scorers import SCORERS, get_scorer
@@ -189,3 +189,10 @@ def test_each_stage_runs_once_per_event_not_once_per_head(monkeypatch, policy, p
         if policy == "fixed_chunk":  # the spy does see the chunk-sum sort
             assert {-(-n // DEFAULT_CHUNK_LEN) for n in cache_lens} <= set(sorted_lens)
         assert calls == {name: n * len(trace.events) for name, n in per_event.items()}
+
+
+@pytest.mark.parametrize("policy", ["bogus", {}, [], None])
+def test_an_event_of_no_known_policy_is_a_config_error(policy):
+    # a dict or list is unhashable
+    with pytest.raises(ConfigError, match="unknown policy"):
+        compress_event(policy, 1, 8, None, None, default_config().replace(t_keep=4))

@@ -83,7 +83,8 @@ def test_registry_dispatch():
     np.testing.assert_allclose(get_scorer("expected")(newest, usage, keys), np.full(4, 0.25))
     np.testing.assert_allclose(get_scorer("constant")(newest, usage, keys), np.ones(4))
     assert get_scorer("keydiff")(newest, usage, keys).shape == (4,)
-    with pytest.raises(ConfigError):
-        get_scorer("nope")
+    for name in ("nope", {}, [], None):  # a dict or list is unhashable
+        with pytest.raises(ConfigError, match="unknown scorer"):
+            get_scorer(name)
     with pytest.raises(ContractViolation):
         get_scorer("keydiff")(newest, usage, None)

@@ -35,6 +35,8 @@ from masskv.sim import (
     write_trace_json,
 )
 
+from test_core import JSON_LIKE
+
 CFG = default_config().replace(t_keep=64, interval=128, window=32, n_last=8)
 
 
@@ -106,7 +108,8 @@ def test_no_events_when_steps_below_interval():
 @pytest.mark.parametrize("steps", [32, 256])
 @pytest.mark.parametrize(
     "policy, scorer, name",
-    [("bogus", "expected", "policy"), ("ams", "nope", "scorer"), ("streaming", "nope", "scorer")],
+    [("bogus", "expected", "policy"), ("ams", "nope", "scorer"), ("streaming", "nope", "scorer"),
+     ([], "expected", "policy"), ("ams", {}, "scorer"), ("ams", [], "scorer")],
 )
 def test_unknown_policy_or_scorer_is_rejected_before_the_first_step(steps, policy, scorer, name):
     # a run with no event, or of a policy that never scores, looks neither name up
@@ -157,11 +160,14 @@ def test_toy_decoder_determinism_and_rows():
 def test_skip_leaves_the_generator_where_rows_would(name):
     # heavy_hitter draws its hitter positions when the generator is built
     drawn, skipped = (_WorkloadRows(WorkloadSpec(name, steps=10, seed=4), heads=3) for _ in range(2))
-    for step, total in ((0, 1), (1, 2), (7, 40), (8, 41)):
-        drawn.rows(step, total)
-        skipped.skip(step, total)
+    step = 0
+    for total, count in ((1, 0), (1, 1), (2, 3), (40, 1), (41, 5)):
+        for i in range(count):
+            drawn.rows(step + i, total + i)
+        step += count
+        skipped.skip(total, count)
         assert drawn.rng.bit_generator.state == skipped.rng.bit_generator.state
-    np.testing.assert_array_equal(drawn.rows(9, 42), skipped.rows(9, 42))
+    np.testing.assert_array_equal(drawn.rows(step, 46), skipped.rows(step, 46))
 
 
 # the documented default of every parameter each workload reads
@@ -298,7 +304,9 @@ def test_lazy_rows_change_nothing_and_build_only_what_events_read(monkeypatch, c
         assert trace.events == [] and queried == [] and folds == []
 
     # drawing every skipped row and throwing it away gives the same traces
-    monkeypatch.setattr(_WorkloadRows, "skip", lambda self, step, total: rows(self, step, total))
+    # (the step a row is drawn at shapes its values, not how much it draws)
+    monkeypatch.setattr(_WorkloadRows, "skip",
+                        lambda self, total, count: [rows(self, 0, total + i) for i in range(count)])
     eager = [trace_to_dict(run_schedule(spec, "ams", cfg, kv_heads=3)) for spec in specs]
     assert eager == lazy
 
@@ -619,6 +627,19 @@ def test_workload_validation():
     assert run_schedule(spec, "ams", CFG).steps == 10
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_no_workload_input_raises_anything_but_a_config_error(data):
+    name = data.draw(st.one_of(st.sampled_from(WORKLOADS), JSON_LIKE), label="name")
+    read = DEFAULTS[name] if name in WORKLOADS else sim.WORKLOAD_PARAMS
+    params = st.one_of(st.dictionaries(st.sampled_from(sorted(read)), JSON_LIKE), JSON_LIKE)
+    try:
+        WorkloadSpec(name, data.draw(JSON_LIKE, label="steps"), data.draw(JSON_LIKE, label="seed"),
+                     data.draw(params, label="params"))
+    except ConfigError:
+        pass
+
+
 MAX = sys.float_info.max
 ALMOST_ONE = float(np.nextafter(1.0, 0.0))
 # values at the edges of each parameter's range, ints given for floats too;
@@ -631,8 +652,8 @@ PARAM_EDGES = {
     "drift": [-1, 1, -1.0, 1.0],
     "phase": [-MAX, 0, MAX],
     "floor": [0, 1, 1.0],
-    "region_start": [0, 1, 2**64],
-    "region_len": [0, 1, 2**64],
+    "region_start": [0, 1, 2**63 - 1],
+    "region_len": [0, 1, 2**63 - 1],
     "suppress": [0, 0.0, 1],
 }
 
