@@ -51,9 +51,9 @@ class CompressionConfig:
                 continue
             rule, ok = CONFIG_RULES.get(f.name, ("a bool", lambda v: True))
             if not (is_value(value, f.type.split()[0]) and ok(value)):
-                raise ConfigError(f"{f.name}={value!r} must be {rule}")
+                raise ConfigError(f"{f.name}={shown(value)} must be {rule}")
         if self.min_seg_len > self.max_seg_len:
-            raise ConfigError(f"min_seg_len={self.min_seg_len!r} must be <= max_seg_len")
+            raise ConfigError(f"min_seg_len={shown(self.min_seg_len)} must be <= max_seg_len")
 
     def replace(self, /, **changes) -> "CompressionConfig":
         # self is positional-only, so even a key named "self" gets this check
@@ -105,11 +105,17 @@ def is_value(value, kind: str) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """``value`` as an error shows it: an int past int64 by its size, as its repr may raise."""
+    bits = int(value).bit_length() if isinstance(value, numbers.Integral) else 0
+    return f"<an integer of {bits} bits>" if bits > 64 else repr(value)
+
+
 def check_name(kind: str, value, choices, where: str = "") -> None:
     """Raise a ConfigError unless ``value`` is one of the names ``choices``;
     a value that is not a string, hashable or not, is none of them."""
     if not (isinstance(value, str) and value in choices):
-        raise ConfigError(f"{where}unknown {kind} {value!r}; choose from {', '.join(choices)}")
+        raise ConfigError(f"{where}unknown {kind} {shown(value)}; choose from {', '.join(choices)}")
 
 
 def default_config() -> CompressionConfig:

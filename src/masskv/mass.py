@@ -7,8 +7,8 @@ sum. At a compression event the rows are folded once,
 for all heads, into their mean usage (with causal max-padding for suffix
 positions that fewer queries could see), which is then smoothed with a short
 1D average pool and normalized into a positive mass distribution over cache
-positions. An EMA credit array, [heads, capacity] and remapped by each
-event's keep gather, makes the mass history-aware.
+positions. An EMA credit array, [heads, capacity], which the run gathers with
+its other per-token arrays at each event, makes the mass history-aware.
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ class EmaCreditStore:
     """Decayed accumulation of past mass assignments: one [heads, capacity]
     array whose row h, column i is the credit of head h's cache position i.
 
-    Credit follows surviving tokens through the event's keep gather
-    (``remap``), so tokens born after an event start at zero, and is mixed
-    into the current mass so that consistently useful regions keep their
-    budget share across events.
+    ``run_schedule`` writes 0 for each newborn token and gathers ``credit``
+    by each event's keep set with its other per-token arrays, so credit
+    follows surviving tokens. It is mixed into the current mass so that
+    consistently useful regions keep their budget share across events.
     """
 
     def __init__(self, decay: float, mix: float, heads: int, capacity: int):
@@ -160,10 +160,3 @@ class EmaCreditStore:
         c[:] = self.decay * c + (1.0 - self.decay) * m_cur
         mixed = self.mix * m_cur + (1.0 - self.mix) * _normalize(c)
         return _normalize(mixed)
-
-    def remap(self, keep: np.ndarray) -> None:
-        """Gather every head's credit by its keep positions ``keep`` [heads,
-        k]; the positions from k on start at zero."""
-        k = keep.shape[1]
-        self.credit[:, :k] = np.take_along_axis(self.credit, keep, axis=1)
-        self.credit[:, k:] = 0.0

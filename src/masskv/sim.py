@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from masskv.core import CompressionConfig, ConfigError, check_name, is_value
+from masskv import diagnostics
+from masskv.core import CompressionConfig, ConfigError, check_name, is_value, shown
 from masskv.engine import POLICIES, READS_ROWS, compress_event
 from masskv.mass import EmaCreditStore, UsageAccumulator
 from masskv.paged import attention_weights
@@ -51,7 +52,7 @@ class _Default(int):
 def _check_dims(kv_heads, head_dim) -> None:
     for name, v in (("kv_heads", kv_heads), ("head_dim", head_dim)):
         if not (_count(v) and v >= 1):
-            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+            raise ConfigError(f"{name} must be an integer >= 1, got {shown(v)}")
 
 
 # every workload parameter: the workload that reads it (None: all), its
@@ -88,7 +89,7 @@ class ToyDecoder:
 
     def __init__(self, seed: int, kv_heads: int = 2, head_dim: int = 16):
         if not _count(seed):
-            raise ConfigError(f"decoder seed must be an integer >= 0, got {seed!r}")
+            raise ConfigError(f"decoder seed must be an integer >= 0, got {shown(seed)}")
         _check_dims(kv_heads, head_dim)
         self.seed = seed
         self.kv_heads = kv_heads
@@ -125,18 +126,19 @@ class WorkloadSpec:
     def __post_init__(self):
         check_name("workload", self.name, WORKLOADS)
         if not (_count(self.steps) and self.steps >= 1):
-            raise ConfigError(f"workload steps must be an integer >= 1, got {self.steps!r}")
+            raise ConfigError(f"workload steps must be an integer >= 1, got {shown(self.steps)}")
         if not _count(self.seed):
-            raise ConfigError(f"workload seed must be an integer >= 0, got {self.seed!r}")
+            raise ConfigError(f"workload seed must be an integer >= 0, got {shown(self.seed)}")
         if not isinstance(self.params, dict):
             raise ConfigError("workload params must be a mapping of names to numbers")
         unknown = set(self.params) - set(_read_params(self.name, {}))
         if unknown:
-            raise ConfigError(f"workload {self.name!r} does not read params {sorted(unknown)}")
+            names = ", ".join(sorted(map(shown, unknown)))
+            raise ConfigError(f"workload {self.name!r} does not read params {names}")
         for key, value in self.params.items():
             _, default, rule, ok = WORKLOAD_PARAMS[key]
             if not (is_value(value, type(default).__name__) and ok(value)):
-                raise ConfigError(f"workload param {key}={value!r} must be {rule}")
+                raise ConfigError(f"workload param {key}={shown(value)} must be {rule}")
         if self.params.get("hitter_count", 0) > self.steps:
             raise ConfigError(f"workload param hitter_count must be <= steps ({self.steps})")
         # suppressing from position 0 to nothing zeroes every row of <= region_len tokens
@@ -218,7 +220,7 @@ class EventRecord:
     quotas: list | None         # per head: quotas [n_seg]; AMS only
     mass: np.ndarray | None     # [heads, cache_len] mass; AMS only
     counters: dict              # always {}; schema 1 keeps the key
-    wall_time: float
+    wall_time: float            # seconds compress_event took
 
 
 @dataclass
@@ -281,26 +283,29 @@ def run_schedule(
         heads, dim = source.kv_heads, source.head_dim
         for name, given, own in (("kv_heads", kv_heads, heads), ("head_dim", head_dim, dim)):
             if not isinstance(given, _Default) and given != own:
-                raise ConfigError(f"{name}={given!r} differs from the decoder's {own}")
+                raise ConfigError(f"{name}={shown(given)} differs from the decoder's {own}")
         if reads_rows:
             decoder = source
     else:
         raise ConfigError(f"source must be a WorkloadSpec or ToyDecoder, got {type(source)}")
     if not _count(steps):  # None too: a ToyDecoder run has no default
-        raise ConfigError(f"steps must be an integer >= 0, got {steps!r}")
+        raise ConfigError(f"steps must be an integer >= 0, got {shown(steps)}")
     interval = cfg.interval
     # an interval starts with t_cur <= t_keep, so its tokens always fit, and
     # the cache never holds more than steps tokens
     capacity = min(t_keep + interval, steps)
     ids = np.empty((heads, capacity), dtype=np.int64)  # the step each token was born at
-    keys = None
+    per_token = [ids]  # every cache-aligned array: each event gathers them all
+    keys = credit = None
     if decoder is not None:
         rng_in = np.random.default_rng(np.random.SeedSequence([int(seed), 0x117]))
         keys = np.zeros((heads, capacity, dim))
+        per_token.append(keys)
+    if policy == "ams" and cfg.ema_on:
+        credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, heads, capacity)
+        per_token.append(credit.credit)
     t_cur = 0
     usage = UsageAccumulator()
-    ema = policy == "ams" and cfg.ema_on
-    credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, heads, capacity) if ema else None
 
     trace = RunTrace(
         policy=policy,
@@ -317,6 +322,8 @@ def run_schedule(
     for start in range(0, steps, interval):
         n = min(interval, steps - start)
         ids[:, t_cur : t_cur + n] = np.arange(start, start + n)
+        if credit is not None:  # a token is born with no credit
+            credit.credit[:, t_cur : t_cur + n] = 0.0
         if decoder is not None:
             xs = rng_in.normal(size=(n, dim))
             decoder.project(decoder.w_k, xs, out=keys[:, t_cur : t_cur + n])
@@ -349,27 +356,24 @@ def run_schedule(
             policy, heads, t_cur, usage, None if keys is None else keys[:, :t_cur], cfg,
             scorer=scorer, credit=credit,
         )
-        kept_ids = np.take_along_axis(ids[:, :t_cur], keep, axis=1)
+        wall_time = time.perf_counter() - t0
+        kept = keep.shape[1]
+        for a in per_token:  # a [heads, kept] index carries the keys' head_dim axis along
+            a[:, :kept] = a[np.arange(heads)[:, None], keep]
         trace.events.append(
             EventRecord(
                 index=len(trace.events),
                 step=start + n,
                 cache_len=t_cur,
                 keep_positions=keep,
-                kept_ids=kept_ids,
+                kept_ids=ids[:, :kept].copy(),
                 segments=None if segs is None else segs.per_head(),
                 quotas=None if segs is None else np.split(quotas, segs.offsets[1:-1]),
                 mass=mass,
                 counters={},
-                wall_time=time.perf_counter() - t0,
+                wall_time=wall_time,
             )
         )
-        kept = keep.shape[1]
-        ids[:, :kept] = kept_ids
-        if keys is not None:
-            keys[:, :kept] = keys[np.arange(heads)[:, None], keep]
-        if credit is not None:
-            credit.remap(keep)
         usage = UsageAccumulator()
         t_cur = kept
 
@@ -378,8 +382,6 @@ def run_schedule(
 
 
 def _summarize(trace: RunTrace) -> None:
-    from masskv import diagnostics
-
     iou = diagnostics.metric_retained_iou(trace)
     trace.summaries = {
         "events": len(trace.events),
@@ -425,8 +427,6 @@ def write_trace_json(trace: RunTrace, path, include_timing: bool = False) -> Non
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Flat ``event,metric,value`` rows; run-level summaries use event=-1."""
-    from masskv import diagnostics
-
     lines = ["event,metric,value"]
     iou = diagnostics.metric_retained_iou(trace)
     for ev in trace.events:

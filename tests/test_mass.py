@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from masskv.core import ConfigError, ContractViolation
+from masskv.core import ConfigError, ContractViolation, default_config
 from masskv.mass import (
     EmaCreditStore,
     UsageAccumulator,
     normalize_mass,
     smooth,
 )
+from masskv.sim import WorkloadSpec, run_schedule
 
 from reference import aggregate_usage_reference
 
@@ -278,24 +279,30 @@ def test_ema_credit_decays_geometrically():
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
 
-def test_remap_credit_gather_and_zero():
-    store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=3)
-    store.credit[0] = [0.1, 0.2, 0.3]
-    store.remap(np.array([[0, 2]]))
-    np.testing.assert_allclose(store.credit, [[0.1, 0.3, 0.0]])
+@pytest.mark.parametrize("heads", [1, 3])
+@pytest.mark.parametrize("interval, window", [(32, 16), (16, 40)])
+def test_credit_follows_each_heads_keep_set_and_starts_at_zero(monkeypatch, heads, interval, window):
+    # the credit an AMS event updates is, head by head, the previous event's
+    # updated credit gathered by that head's keep set, then 0 for every token
+    # born since
+    seen = []
+    update = EmaCreditStore.update_and_mix
 
+    def spying(self, m_cur):
+        before = self.credit[:, : m_cur.shape[-1]].copy()
+        mixed = update(self, m_cur)
+        seen.append((before, self.credit[:, : m_cur.shape[-1]].copy()))
+        return mixed
 
-def test_remap_identity():
-    store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=4)
-    store.credit[0] = [0.4, 0.3, 0.2, 0.1]
-    store.remap(np.arange(4)[None, :])
-    np.testing.assert_allclose(store.credit, [[0.4, 0.3, 0.2, 0.1]])
-
-
-def test_remap_gathers_each_head_by_its_own_keep():
-    store = EmaCreditStore(decay=0.9, mix=0.9, heads=2, capacity=5)
-    store.credit[:] = [[0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0, 3.0, 4.0, 5.0]]
-    store.remap(np.array([[0, 3, 4], [1, 2, 4]]))
-    np.testing.assert_array_equal(
-        store.credit, [[0.1, 0.4, 0.5, 0.0, 0.0], [2.0, 3.0, 5.0, 0.0, 0.0]]
-    )
+    monkeypatch.setattr(EmaCreditStore, "update_and_mix", spying)
+    cfg = default_config().replace(t_keep=24, interval=interval, window=window, n_last=4)
+    trace = run_schedule(WorkloadSpec("drifting_focus", steps=200, seed=3), "ams", cfg,
+                         kv_heads=heads)
+    assert len(seen) == len(trace.events) >= 6
+    assert not seen[0][0].any()
+    for prev, ev, (before, _), (_, after) in zip(trace.events, trace.events[1:], seen[1:], seen):
+        k = prev.keep_positions.shape[1]
+        assert before.shape == (heads, ev.cache_len)
+        for h in range(heads):
+            np.testing.assert_array_equal(before[h, :k], after[h, prev.keep_positions[h]])
+            assert not before[h, k:].any()

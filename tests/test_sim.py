@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import masskv.sim as sim
-from masskv.core import ConfigError, default_config
+from masskv.core import CompressionConfig, ConfigError, check_name, default_config
 from masskv.diagnostics import (
     metric_retained_iou,
     metric_spatial_histogram,
@@ -736,6 +737,32 @@ def test_toy_decoder_runs_reject_other_heads_and_widths(dim, own):
     assert trace_to_dict(trace) == trace_to_dict(run_schedule(dec, "ams", CFG, steps=128))
 
 
+HUGE = 10**5000  # its repr raises ValueError past Python's 4,300-digit limit
+HUGE_INPUTS = {
+    "config_int": lambda: CompressionConfig(window=HUGE),
+    "config_float": lambda: CompressionConfig(ema_decay=HUGE),
+    "workload_steps": lambda: WorkloadSpec("uniform", steps=HUGE),
+    "workload_seed": lambda: WorkloadSpec("uniform", steps=8, seed=HUGE),
+    "workload_param": lambda: WorkloadSpec("uniform", steps=8, params={"noise": HUGE}),
+    "workload_param_name": lambda: WorkloadSpec("uniform", steps=8, params={HUGE: 0.1}),
+    "decoder_seed": lambda: ToyDecoder(HUGE),
+    "decoder_heads": lambda: ToyDecoder(0, kv_heads=HUGE),
+    "run_steps": lambda: run_schedule(WorkloadSpec("uniform", steps=8), "ams", CFG, steps=HUGE),
+    "run_head_dim": lambda: run_schedule(WorkloadSpec("uniform", steps=8), "ams", CFG,
+                                         head_dim=HUGE),
+    "decoder_run_heads": lambda: run_schedule(ToyDecoder(0), "ams", CFG, steps=8, kv_heads=HUGE),
+    "check_name": lambda: check_name("policy", HUGE, POLICIES),
+}
+
+
+@pytest.mark.parametrize("entry", HUGE_INPUTS.values(), ids=HUGE_INPUTS.keys())
+def test_a_huge_integer_is_a_config_error_with_a_short_message(entry):
+    # the CLI cannot pass one (json refuses such literals); Python callers can
+    with pytest.raises(ConfigError) as info:
+        entry()
+    assert "16610 bits" in str(info.value) and len(str(info.value)) < 200
+
+
 DETERMINISM_SCRIPT = """
 import hashlib, json
 from masskv.core import default_config
@@ -760,6 +787,55 @@ def test_decoder_traces_do_not_depend_on_blas_threads():
         outs.append(proc.stdout)
     assert outs[0].split()[0] == "4"
     assert outs[0] == outs[1]
+
+
+GOLDEN_CONFIGS = {
+    "base": CFG,
+    "edge": CFG.replace(t_keep=24, n_sink=24, min_quota=0, ema_on=False, window=40, interval=16),
+    "ablation": CFG.replace(fixed_length_segments_on=True, mass_weighted_quotas_on=False),
+    "interval_1": CFG.replace(interval=1),
+}
+
+# sha256 over the JSON and CSV files of every policy x {expected, recent} run
+# of one config and workload, in that order; a change that moves trace bytes
+# on purpose records its new digests here and lists them in CHANGES.md
+GOLDEN_DIGESTS = {
+    "base/uniform": "62a3da3716167107201dd018ebe14d2e9dd39332ae1f7b27636ce0dc9005233f",
+    "base/heavy_hitter": "f6e22ad138aa37feb5e72a915544a2d59745d9ed9f64c44165ecca60ca5a9d76",
+    "base/low_region_adversarial": "6851472238f139988cc8395dbed452a7e1f5252e811a7e40d4d0ae2c779c7252",
+    "edge/uniform": "62f5212015661497818efd83c1310669b8d539cc139930830bfe572a8be32815",
+    "edge/heavy_hitter": "e9fdb328dea1be23bd18edf87f12923ae815a96e0f1b77db4f8559b346ce68a0",
+    "edge/low_region_adversarial": "861f65bbd73abf7ab71ac7d5212c332a3e2e7817a94fd3f9b721449f10980a97",
+    "ablation/uniform": "9c35af4aff78170b75d8d45808227ae9ecd3cb57a55dc130fdd59cd790c3059c",
+    "ablation/heavy_hitter": "7a02e738540bdfa7733da4a58ad7085b63c60db8db234c022501ab335dc9108c",
+    "ablation/low_region_adversarial": "689bf7931f9570faf67de20bda61fe471c2c666a46dd87e61a25fa1848297135",
+    "interval_1/uniform": "d5560798828575d24e3f163cdd72dcce33ac4d1534563e46f669dd6dfa933fbf",
+    "interval_1/heavy_hitter": "8ff23e83143a83e8b891e0d91c15208798f75650aa70dae3c89bd09f80c54729",
+    "interval_1/low_region_adversarial": "30bf17ee13fb2f02de1c674af65d78300218cc31617a900e58aca57e7819365a",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+def test_trace_files_keep_their_recorded_bytes(tmp_path, name):
+    """The JSON and CSV traces of a fixed grid have the bytes recorded in
+    ``GOLDEN_DIGESTS``: 3 workloads x 4 policies x {expected, recent} at 3
+    heads, 384 steps and seed 1. The grid leaves out ``drifting_focus``
+    (``np.exp``), ToyDecoder runs (a BLAS matmul and ``np.exp``) and the
+    ``keydiff`` scorer (``np.einsum``), whose last bits may depend on the CPU
+    or the BLAS build."""
+    cfg = GOLDEN_CONFIGS[name]
+    for workload in ("uniform", "heavy_hitter", "low_region_adversarial"):
+        digest = hashlib.sha256()
+        for policy in POLICIES:
+            for scorer in ("expected", "recent"):
+                spec = WorkloadSpec(workload, steps=384, seed=1)
+                trace = run_schedule(spec, policy, cfg, scorer=scorer, kv_heads=3)
+                if name == "interval_1":
+                    assert {ev.cache_len for ev in trace.events} == {cfg.t_keep + 1}
+                for write in (write_trace_json, write_trace_csv):
+                    write(trace, tmp_path / "t")
+                    digest.update((tmp_path / "t").read_bytes())
+        assert digest.hexdigest() == GOLDEN_DIGESTS[f"{name}/{workload}"], workload
 
 
 def _fake_trace(events, cfg=None):
