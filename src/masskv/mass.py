@@ -2,13 +2,15 @@
 
 The attention rows of the last W decoding queries are taken one [heads, t]
 row at a time as they are decoded: a ``UsageAccumulator``, the only way to
-build usage, validates each once and adds it into a running per-position
-sum. At a compression event the rows are folded once,
-for all heads, into their mean usage (with causal max-padding for suffix
-positions that fewer queries could see), which is then smoothed with a short
-1D average pool and normalized into a positive mass distribution over cache
-positions. An EMA credit array, [heads, capacity], which the run gathers with
-its other per-token arrays at each event, makes the mass history-aware.
+build usage, validates each once, adds the columns every row saw into a
+running sum and writes the rest into a triangle it owns. At a compression
+event one masked copy pads the triangle's unseen entries with the window's
+maximum (causal max-padding for the suffix positions fewer queries could
+see) and one sum folds it, for all heads, into their mean usage, which is
+then smoothed with a short 1D average pool and normalized into a positive
+mass distribution over cache positions. An EMA credit array, [heads,
+capacity], which the run gathers with its other per-token arrays at each
+event, makes the mass history-aware.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ class UsageAccumulator:
     first row fixes ``cut``; row j must be cut + j long, since by causal
     masking it saw only that prefix. A row is checked as it is added, then
     its first ``cut`` entries join a running [..., cut] sum, its j later ones
-    are kept, and its maximum raises the pad. Memory is O(cut + w^2) per
-    leading index for w rows. ``newest`` is the last row added, which saw
-    every position.
+    go into row j of a [cap, ..., cap - 1] triangle that starts at 16 rows and
+    doubles when full, and its maximum raises the pad; a rejected row changes
+    nothing. Memory is O(cut + w^2) per leading index for w rows. ``newest``
+    is the last row added, which saw every position.
     """
 
     def __init__(self):
         self.rows = 0
         self.newest = None
         self._head = None  # running sum of the columns every row saw
-        self._tails = []  # row j's j entries past the cut
+        self._tri = None  # [cap, ..., cap - 1]; row j's first j entries are its tail
         self._pad = None
 
     def add(self, row) -> None:
@@ -56,12 +59,18 @@ class UsageAccumulator:
         if last is not None and row.shape != last.shape[:-1] + (last.shape[-1] + 1,):
             raise ContractViolation(f"row {self.rows} must be [..., t + 1] after {last.shape}")
         _check_rows(row)
+        j = self.rows
         if last is None:
             self._head = np.zeros(row.shape)
+            self._tri = np.empty((16,) + row.shape[:-1] + (15,))
             self._pad = np.zeros(row.shape[:-1])
+        elif j == len(self._tri):  # full: double it, keeping the rows filled
+            grown = np.empty((2 * j,) + self._pad.shape + (2 * j - 1,))
+            grown[:j, ..., : j - 1] = self._tri
+            self._tri = grown
         cut = self._head.shape[-1]
         self._head += row[..., :cut]
-        self._tails.append(row[..., cut:].copy())
+        self._tri[j, ..., :j] = row[..., cut:]
         self._pad = np.maximum(self._pad, row.max(axis=-1))
         self.newest = row
         self.rows += 1
@@ -71,23 +80,25 @@ class UsageAccumulator:
 
         Positions seen by fewer rows have their missing observations padded
         with the maximum score any row observed, so newly generated tokens
-        are not underestimated. The padded rows past the cut are stacked
-        oldest first into one [w, ..., w - 1] triangle and summed along its
-        first axis, which NumPy adds one row at a time in that order, then
-        divided by their count. A pairwise sum, which NumPy may use along the
-        innermost axis, would change the last bits of the mean.
+        are not underestimated. One masked copy writes the pad over the
+        upper part of the triangle's [w, ..., w - 1] corner (entries j..w - 2
+        of row j, which no row owns, so a fold can be repeated and rows added
+        after it), and one sum along its first axis, which NumPy adds one row
+        at a time, oldest first, totals it. A pairwise sum, which NumPy may
+        use along the innermost axis, would change the last bits of the mean.
         """
         if self.newest is None:
             raise ContractViolation("no attention rows to aggregate")
         cut = self._head.shape[-1]
         total = np.empty(self.newest.shape)
         total[..., :cut] = self._head
-        tri = np.empty((self.rows,) + self._pad.shape + (self.rows - 1,))
-        tri[...] = self._pad[..., None]
-        for j, tail in enumerate(self._tails):
-            tri[j, ..., :j] = tail
+        w = self.rows
+        tri = self._tri[:w, ..., : w - 1]
+        upper = ~np.tri(w, w - 1, -1, dtype=bool)  # column i >= row j
+        upper = upper.reshape((w,) + (1,) * self._pad.ndim + (w - 1,))
+        np.copyto(tri, self._pad[..., None], where=upper)
         total[..., cut:] = np.add.reduce(tri, axis=0)
-        return total / self.rows
+        return total / w
 
 
 def smooth(u: np.ndarray, kernel: int) -> np.ndarray:

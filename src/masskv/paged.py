@@ -209,9 +209,16 @@ def attention_weights(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     query i sees the first T - n + i + 1 keys, and its row of the [H, n, T]
     result is exactly 0 past them. All n rows come from one ``np.matmul``
     and are normalized in place. A [H, D] query is the n = 1 case, [H, T].
+    The block must fit in the cache: n <= T, with T >= 1.
     """
     q = query[:, None] if query.ndim == 2 else query
+    if keys.ndim != 3 or q.ndim != 3 or q.shape[::2] != keys.shape[::2]:
+        raise ContractViolation(
+            f"query {query.shape} does not match the [H, T, D] cache {keys.shape}"
+        )
     n, t = q.shape[1], keys.shape[1]
+    if t < 1 or n > t:
+        raise ContractViolation(f"{n} queries need a cache of at least {max(n, 1)} tokens, got {t}")
     scores = np.matmul(q, keys.transpose(0, 2, 1))
     scores /= np.sqrt(keys.shape[-1])
     scores[:, ~np.tri(n, t, t - n, dtype=bool)] = -np.inf

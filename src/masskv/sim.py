@@ -357,6 +357,7 @@ def run_schedule(
             scorer=scorer, credit=credit,
         )
         wall_time = time.perf_counter() - t0
+        usage = UsageAccumulator()  # frees the spent triangle before the gather and record
         kept = keep.shape[1]
         for a in per_token:  # a [heads, kept] index carries the keys' head_dim axis along
             a[:, :kept] = a[np.arange(heads)[:, None], keep]
@@ -374,7 +375,6 @@ def run_schedule(
                 wall_time=wall_time,
             )
         )
-        usage = UsageAccumulator()
         t_cur = kept
 
     _summarize(trace)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,71 @@ def test_accumulator_add_rejects_bad_sums_and_lengths():
     np.testing.assert_array_equal(acc.fold(), _accumulate(rows).fold())
     with pytest.raises(ContractViolation):
         UsageAccumulator().fold()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("w", [1, 2, 15, 16, 17, 31, 32, 33, 64, 65, 128, 129])
+def test_fold_matches_reference_across_triangle_growth(w, lead, dtype):
+    # windows on both sides of every size the row store passes through, fed
+    # as strided views of one [..., w, t] chunk the way decoder chunks are
+    cut = 3
+    t = cut + w - 1
+    n = int(np.prod(lead))
+    chunk = _causal_rows(np.random.default_rng(w), n, w, t, dtype=dtype).reshape(lead + (w, t))
+    acc = UsageAccumulator()
+    for j in range(w):
+        acc.add(chunk[..., j, : cut + j])
+    u = acc.fold()
+    assert u.shape == lead + (t,) and u.dtype == np.float64
+    visible = cut + np.arange(w)
+    for idx in np.ndindex(lead):
+        np.testing.assert_array_equal(u[idx], aggregate_usage_reference(chunk[idx], visible, w))
+
+
+@pytest.mark.parametrize("split", [1, 10, 16, 17, 40])
+def test_fold_repeats_and_takes_rows_added_after_it(split):
+    # a fold after the first `split` rows, then the rest, then two folds:
+    # each equals the fold of a fresh accumulator fed the same rows
+    rows = _causal_rows(np.random.default_rng(split), 3, 48, 60)
+    acc = UsageAccumulator()
+    for j in range(split):
+        acc.add(rows[:, j, : 13 + j])
+    np.testing.assert_array_equal(acc.fold(), _accumulate(rows[:, :split, : 12 + split]).fold())
+    for j in range(split, 48):
+        acc.add(rows[:, j, : 13 + j])
+    whole = _accumulate(rows).fold()
+    np.testing.assert_array_equal(acc.fold(), whole)
+    np.testing.assert_array_equal(acc.fold(), whole)
+
+
+@pytest.mark.parametrize("bad_row", [16, 17, 32, 33])
+def test_rejected_row_at_a_growth_step_changes_nothing(bad_row):
+    # row 16 is the first to double the row store and row 32 the next; a row
+    # rejected there or just after leaves the fold of the good rows unchanged
+    rows = _causal_rows(np.random.default_rng(bad_row), 2, 40, 45)
+    acc = UsageAccumulator()
+    for j in range(40):
+        if j == bad_row:
+            with pytest.raises(ContractViolation):
+                acc.add(rows[:, j, : 6 + j] * 0.9)
+            assert acc.rows == j
+        acc.add(rows[:, j, : 6 + j])
+    np.testing.assert_array_equal(acc.fold(), _accumulate(rows).fold())
+
+
+def test_fold_allocates_no_triangle():
+    # the longctx shape: 4 heads, T = 4,224 and w = 128; a [w, heads, w - 1]
+    # float64 triangle alone would be 3.8 times the [heads, T] usage
+    heads, w, t = 4, 128, 4224
+    acc = _accumulate(_causal_rows(np.random.default_rng(5), heads, w, t))
+    tracemalloc.start()
+    try:
+        u = acc.fold()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * u.nbytes
 
 
 def test_smooth_boundary_shrink():

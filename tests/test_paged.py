@@ -329,6 +329,24 @@ def test_causal_attention_weights_match_one_query_at_a_time(chunk):
     np.testing.assert_array_equal(one[:, 0], paged.attention_weights(keys, qs[:, -1]))
 
 
+@pytest.mark.parametrize(
+    "keys_shape, query_shape, match",
+    [
+        ((1, 2, 4), (1, 3, 4), "at least 3 tokens, got 2"),  # a block longer than the cache
+        ((1, 0, 4), (1, 1, 4), "at least 1 tokens, got 0"),
+        ((1, 0, 4), (1, 4), "at least 1 tokens, got 0"),  # the [H, D] form, empty cache
+        ((2, 5, 4), (1, 2, 4), "does not match"),  # heads
+        ((2, 5, 4), (2, 2, 3), "does not match"),  # head_dim
+        ((2, 5, 4), (2, 3), "does not match"),  # head_dim, [H, D] form
+        ((5, 4), (2, 4), "does not match"),  # a cache without its head axis
+    ],
+)
+def test_attention_weights_rejects_a_mismatched_or_oversized_block(keys_shape, query_shape, match):
+    # rejected before the matmul: no NaN row and no bare ValueError escapes
+    with pytest.raises(ContractViolation, match=match):
+        paged.attention_weights(np.ones(keys_shape), np.ones(query_shape))
+
+
 def test_equivalence_fuzz_smoke():
     passed, failed = run_equivalence_fuzz(60, seed=0)
     assert (passed, failed) == (60, 0)
