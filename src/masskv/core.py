@@ -8,6 +8,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A configuration value is outside its documented range."""
@@ -103,6 +105,15 @@ def is_value(value, kind: str) -> bool:
         return isinstance(value, numbers.Real) and math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def integers(values, what: str) -> np.ndarray:
+    """``values`` as int64: non-integers, bools included, are rejected, never
+    truncated, and an empty list is an empty set."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ContractViolation(f"{what} must be integers, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
 
 
 def shown(value) -> str:

@@ -20,7 +20,7 @@ import logging
 
 import numpy as np
 
-from masskv.core import ContractViolation
+from masskv.core import ContractViolation, integers
 
 logger = logging.getLogger(__name__)
 
@@ -85,18 +85,10 @@ class BlockTable:
             raise ContractViolation("logical length exceeds table capacity")
 
     def slots(self, positions: np.ndarray) -> np.ndarray:
-        positions = _integer_positions(positions)
+        positions = integers(positions, "positions")
         if positions.size and (positions.min() < 0 or positions.max() >= self.logical_len):
             raise ContractViolation("logical position out of range")
         return _slot_map(np.asarray(self.blocks, dtype=np.int64), self.block_size, positions)
-
-
-def _integer_positions(positions) -> np.ndarray:
-    """``positions`` as int64; non-integers are rejected, never truncated."""
-    positions = np.asarray(positions)
-    if positions.dtype.kind not in "iu":
-        raise ContractViolation(f"positions must be integers, got {positions.dtype}")
-    return positions.astype(np.int64, copy=False)
 
 
 def _slot_map(blocks: np.ndarray, block_size: int, positions: np.ndarray) -> np.ndarray:
@@ -181,7 +173,7 @@ def compact(pool: BlockPool, table: BlockTable, keep: np.ndarray) -> BlockTable:
     k = keep.shape[1]
     if k < 1:
         raise ContractViolation("cannot compact to an empty cache")
-    keep = _integer_positions(keep)
+    keep = integers(keep, "keep positions")
     if keep.min() < 0 or keep.max() >= table.logical_len:
         raise ContractViolation("keep position out of range for the old table")
     if not (np.diff(keep, axis=1) > 0).all():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from masskv.core import CompressionConfig, ContractViolation
+from masskv.core import CompressionConfig, ContractViolation, integers
 
 
 class SegmentSet:
@@ -21,49 +21,31 @@ class SegmentSet:
     [0, heads * T). ``boundaries`` is one strictly increasing array from 0 to
     heads * T that holds every h * T; segment i is [b[i], b[i+1]). Head h
     owns segments ``offsets[h]`` to ``offsets[h+1] - 1``. With one head the
-    boundaries are the cache positions themselves.
+    boundaries are the cache positions themselves. ``starts``, ``ends``,
+    ``lengths``, ``owner`` (each segment's head) and ``total`` (T) are set once.
     """
 
     def __init__(self, boundaries: np.ndarray, heads: int = 1):
-        boundaries = np.asarray(boundaries, dtype=np.int64)
+        boundaries = integers(boundaries, "boundaries")
         if boundaries.ndim != 1 or boundaries.size < 2:
             raise ContractViolation("need at least [0, T] as boundaries")
         if boundaries[0] != 0:
             raise ContractViolation("first boundary must be 0")
-        if not (np.diff(boundaries) > 0).all():
+        self.lengths = np.diff(boundaries)
+        if not (self.lengths > 0).all():
             raise ContractViolation("boundaries must be strictly increasing")
         breaks = np.arange(heads + 1) * (boundaries[-1] // heads)
         self.offsets = np.searchsorted(boundaries, breaks)
         if breaks[-1] != boundaries[-1] or not (boundaries[self.offsets] == breaks).all():
             raise ContractViolation(f"boundaries must split into {heads} heads of equal length")
-        self.boundaries = boundaries
-        self.heads = heads
+        self.boundaries, self.heads = boundaries, heads
+        self.starts, self.ends = boundaries[:-1], boundaries[1:]
+        self.total = int(boundaries[-1]) // heads
+        self.owner = np.repeat(np.arange(heads), np.diff(self.offsets))
 
     @classmethod
     def single(cls, total: int) -> "SegmentSet":
         return cls(np.array([0, total], dtype=np.int64))
-
-    @property
-    def total(self) -> int:
-        """T, the length of each head's cache."""
-        return int(self.boundaries[-1]) // self.heads
-
-    @property
-    def starts(self) -> np.ndarray:
-        return self.boundaries[:-1]
-
-    @property
-    def ends(self) -> np.ndarray:
-        return self.boundaries[1:]
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.boundaries)
-
-    @property
-    def owner(self) -> np.ndarray:
-        """The head of each segment."""
-        return np.repeat(np.arange(self.heads), np.diff(self.offsets))
 
     def __len__(self) -> int:
         return self.boundaries.size - 1

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from masskv.core import ContractViolation
+from masskv.allocation import MustKeepSet, reconcile_budget
+from masskv.core import ContractViolation, integers
 from masskv.segmentation import SegmentSet, fixed_length_segments
 
 
@@ -66,7 +67,7 @@ def _fit_to_budget(mask: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: in
     min(t_keep, T) members; return them as sorted [..., k] positions."""
     total = g.shape[-1]
     target = min(t_keep, total)
-    must = np.asarray(must, dtype=np.int64)
+    must = integers(must, "must-keep positions")
     if must.size > target:
         raise ContractViolation("must-keep set exceeds the budget; reconcile it first")
     if must.size and (np.diff(must) < 0).any():  # the engine's sets are sorted: O(|must|)
@@ -118,7 +119,7 @@ def select(
     g = np.asarray(g, dtype=np.float64)
     if segs.total != g.shape[-1] or segs.boundaries[-1] != g.size:
         raise ContractViolation("segments do not tile the score vector")
-    quotas, lengths = np.asarray(quotas, dtype=np.int64), segs.lengths
+    quotas, lengths = integers(quotas, "quotas"), segs.lengths
     if quotas.shape != lengths.shape or not ((quotas >= 0) & (quotas <= lengths)).all():
         raise ContractViolation(f"need one quota in [0, length] per segment, got {quotas}")
     return _fit_to_budget(_segment_picks(g, segs.starts, lengths, quotas), must, g, t_keep)
@@ -132,13 +133,11 @@ def baseline_global_topk(g: np.ndarray, must: np.ndarray, t_keep: int) -> np.nda
 
 
 def baseline_streaming(total: int, n_sink: int, t_keep: int) -> np.ndarray:
-    """Sink prefix plus the most recent tokens filling the budget."""
-    if total <= t_keep:
-        return np.arange(total, dtype=np.int64)
-    n_sink = min(n_sink, t_keep)
-    # total > t_keep, so the two ranges are disjoint and in order
-    recent = np.arange(total - (t_keep - n_sink), total, dtype=np.int64)
-    return np.concatenate([np.arange(n_sink, dtype=np.int64), recent])
+    """The must-keep set whose recent suffix is every position past the
+    sinks, reconciled to the budget: the sinks plus the newest tokens."""
+    positions = np.arange(total, dtype=np.int64)
+    must, _ = reconcile_budget(MustKeepSet(positions[:n_sink], positions[n_sink:]), t_keep)
+    return must.indices
 
 
 def baseline_fixed_chunk(

@@ -348,7 +348,7 @@ def run_schedule(
                 del rows, row
         t_cur += n
 
-        if n < interval or t_cur <= t_keep:
+        if start + n - 1 != e:
             continue
 
         t0 = time.perf_counter()

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masskv.allocation import compute_quotas, must_keep, reconcile_budget
-from masskv.core import ContractViolation, default_config
+from masskv.core import ConfigError, ContractViolation, default_config
+from masskv.paged import BlockTable
 from masskv.segmentation import SegmentSet, fixed_length_segments, segment
 from masskv.selector import (
     _best_n,
@@ -83,12 +84,36 @@ def test_baseline_streaming_examples():
     assert baseline_streaming(100, 4, 10).tolist() == [0, 1, 2, 3] + list(range(94, 100))
     assert baseline_streaming(8, 4, 10).tolist() == list(range(8))
     assert baseline_streaming(100, 10, 10).tolist() == list(range(10))
+    with pytest.raises(ConfigError, match="sink"):
+        baseline_streaming(100, 12, 10)  # the sinks alone overrun the budget
+    assert baseline_streaming(8, 12, 10).tolist() == list(range(8))
+
+
+_G = np.array([3.0, 1.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: select(_G, SegmentSet([0, 2, 4]), [2.9, 2.9], [], 4),
+        lambda: baseline_global_topk(_G, [1.9], 2),
+        lambda: baseline_global_topk(_G, np.array([True, False]), 2),
+        lambda: SegmentSet([0, 2.7, 4]),
+        lambda: baseline_fixed_chunk(_G, 2.5, [], 2),
+        lambda: BlockTable(4, [0], logical_len=4).slots([1.9]),
+    ],
+    ids=["quotas", "must_keep", "must_keep_mask", "boundaries", "chunk_len", "paged_positions"],
+)
+def test_non_integer_keep_set_inputs_are_rejected_not_truncated(call):
+    with pytest.raises(ContractViolation, match="integers"):
+        call()
 
 
 def test_baseline_global_topk_tie_break():
     g = np.zeros(6)
     keep = baseline_global_topk(g, np.array([], dtype=np.int64), 3)
     assert keep.tolist() == [0, 1, 2]  # all-tied scores: lowest indices win
+    assert baseline_global_topk(g, [], 3).tolist() == [0, 1, 2]  # [] is the empty set
 
 
 def _ranked_reference(g, cand):

@@ -547,6 +547,15 @@ def test_whole_runs_keep_budget_sinks_and_token_ids(data):
                             kv_heads=2, head_dim=4)
 
     trace = run()
+    # the plain schedule: an event ends each full interval whose cache
+    # exceeds t_keep, and leaves t_keep tokens
+    schedule, cache = [], 0
+    for end in range(cfg.interval, steps + 1, cfg.interval):
+        cache += cfg.interval
+        if cache > t_keep:
+            schedule.append((end, cache))
+            cache = t_keep
+    assert [(ev.step, ev.cache_len) for ev in trace.events] == schedule
     # the ids of the cache before each event: the last event's survivors,
     # then every token born since, in arrival order
     ids, watermark = np.zeros((2, 0), dtype=np.int64), 0
