@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from masskv.core import CompressionConfig, ConfigError, ContractViolation
-from masskv.segmentation import SegmentSet
+from masskv.core import CompressionConfig, ConfigError, ContractViolation, integers
+from masskv.segmentation import SegmentSet, prefix_sums
 
 
 class MustKeepSet:
@@ -25,8 +25,8 @@ class MustKeepSet:
     """
 
     def __init__(self, sinks: np.ndarray, recent: np.ndarray):
-        self.sinks = np.asarray(sinks, dtype=np.int64)
-        self.recent = np.asarray(recent, dtype=np.int64)
+        self.sinks = integers(sinks, "sinks")
+        self.recent = integers(recent, "recent")
         self.indices = np.concatenate([self.sinks, self.recent])
 
     @property
@@ -58,17 +58,21 @@ def reconcile_budget(must: MustKeepSet, t_keep: int) -> tuple[MustKeepSet, int]:
     return must, t_keep - must.size
 
 
-def _sums(v: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Exact per-group sums of integers (or bools) ``v`` over CSR ``bounds``."""
-    csum = np.concatenate([[0], np.cumsum(v)])
-    return csum[bounds[1:]] - csum[bounds[:-1]]
+def _sums(v: np.ndarray, owner: np.ndarray, groups: int) -> np.ndarray:
+    """Per-group sums of integers (or bools) ``v``, entry i in group
+    owner[i]; exact while a sum stays below 2**53, as counts of cache
+    positions do."""
+    return np.bincount(owner, v, groups).astype(np.int64)
 
 
 def _groups(size: int, total, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``total`` as one int64 entry per group, the CSR ``bounds`` (one group
-    of ``size`` entries by default), and the group of each entry."""
-    total = np.atleast_1d(np.asarray(total, dtype=np.int64))
-    bounds = np.array([0, size]) if bounds is None else np.asarray(bounds)
+    of ``size`` entries by default), and the group of each entry; a total or
+    bound that is not an integer is rejected, never truncated."""
+    total = np.atleast_1d(integers(total, "total"))
+    if (total < 0).any():
+        raise ContractViolation("total must be >= 0")
+    bounds = np.array([0, size]) if bounds is None else integers(bounds, "bounds")
     return total, bounds, np.repeat(np.arange(total.size), np.diff(bounds))
 
 
@@ -79,12 +83,13 @@ def largest_remainder(weights: np.ndarray, total, bounds=None) -> np.ndarray:
     by itself, and every group is apportioned at once."""
     weights = np.asarray(weights, dtype=np.float64)
     total, bounds, owner = _groups(weights.size, total, bounds)
-    if (total < 0).any():
-        raise ContractViolation("total must be >= 0")
-    if weights.size == 0:
-        if total.any():
-            raise ContractViolation("cannot apportion a positive total over nothing")
-        return np.zeros(0, dtype=np.int64)
+    if total[bounds[:-1] == bounds[1:]].any():
+        raise ContractViolation("cannot apportion a positive total over nothing")
+    return _hamilton(weights, total, bounds, owner)
+
+
+def _hamilton(weights, total, bounds, owner) -> np.ndarray:
+    """``largest_remainder`` on float64 weights and the checked ``_groups``."""
     # one sum per group: np.add.reduceat adds in another order than .sum(),
     # which would change the last bits of the shares
     wsum = np.array([weights[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
@@ -94,7 +99,7 @@ def largest_remainder(weights: np.ndarray, total, bounds=None) -> np.ndarray:
         wsum = np.where(flat, np.diff(bounds), wsum)
     shares = total[owner] * weights / wsum[owner]
     q = np.floor(shares).astype(np.int64)
-    deficit = total - _sums(q, bounds)
+    deficit = total - _sums(q, owner, total.size)
     # one stable sort keyed by (group, -remainder): each group's largest
     # remainders come first, ties to the lower index
     order = np.lexsort((-(shares - q), owner))
@@ -109,24 +114,27 @@ def apportion_with_caps(weights: np.ndarray, total, caps: np.ndarray, bounds=Non
     Given CSR ``bounds``, each group apportions its own total, and every
     round serves all groups that still have budget left."""
     weights = np.asarray(weights, dtype=np.float64)
-    caps = np.asarray(caps, dtype=np.int64)
+    caps = integers(caps, "caps")
     total, bounds, owner = _groups(caps.size, total, bounds)
-    room = _sums(caps, bounds)
+    room = _sums(caps, owner, total.size)
     if (total > room).any():
         raise ContractViolation(f"total {total} exceeds capacity {room}")
     q = np.zeros_like(caps)
     active = caps > 0
     remaining = total
     for _ in range(caps.size):
-        live = (remaining > 0) & (_sums(active, bounds) > 0)
+        counts = _sums(active, owner, total.size)
+        live = (remaining > 0) & (counts > 0)
         if not live.any():
             break
         sel = active & live[owner]
-        counts = _sums(sel, bounds)[live]
-        q[sel] += largest_remainder(weights[sel], remaining[live], np.append(0, np.cumsum(counts)))
+        counts = counts[live]
+        sub_owner = np.repeat(np.arange(counts.size), counts)
+        sub_bounds = np.append(0, np.cumsum(counts))
+        q[sel] += _hamilton(weights[sel], remaining[live], sub_bounds, sub_owner)
         over = np.maximum(q - caps, 0)
         q -= over
-        remaining = _sums(over, bounds)
+        remaining = _sums(over, owner, total.size)
         active &= q < caps
     return q
 
@@ -140,11 +148,12 @@ class QuotaVector:
 
 
 def compute_quotas(
-    segs: SegmentSet, m: np.ndarray, t_rem: int, cfg: CompressionConfig
+    segs: SegmentSet, m: np.ndarray, t_rem: int, cfg: CompressionConfig, csum=None
 ) -> QuotaVector:
     """Split ``t_rem`` retained-token slots across each head's segments, for
     every head of ``segs`` at once; ``m`` is the [heads, T] (or, for one
-    head, [T]) mass.
+    head, [T]) mass and ``csum`` its ``prefix_sums``, if the caller has
+    taken them.
 
     Every segment first gets min(min_quota, L_i); the rest is shared in
     proportion to segment mass (or length, in the unweighted ablation) with
@@ -155,21 +164,21 @@ def compute_quotas(
     if t_rem < 0:
         raise ContractViolation("t_rem must be >= 0")
     lengths = segs.lengths
-    masses = segs.masses(m)
+    masses = segs.masses(prefix_sums(m) if csum is None else csum)
     if t_rem > segs.total:
         raise ContractViolation(f"budget {t_rem} exceeds cache size {segs.total}")
-    bounds, owner = segs.offsets, segs.owner
+    bounds, owner, heads = segs.offsets, segs.owner, segs.heads
     floors = np.minimum(cfg.min_quota, lengths)
     weights = masses if cfg.mass_weighted_quotas_on else lengths.astype(np.float64)
-    starved = (_sums(floors, bounds) > t_rem)[owner]
+    starved = (_sums(floors, owner, heads) > t_rem)[owner]
     base = np.where(starved, 0, floors)
     quotas = base + apportion_with_caps(
         np.where(starved, floors, weights),
-        t_rem - _sums(base, bounds),
+        t_rem - _sums(base, owner, heads),
         np.where(starved, floors, lengths - floors),
         bounds,
     )
-    if (_sums(quotas, bounds) != t_rem).any():
+    if (_sums(quotas, owner, heads) != t_rem).any():
         raise ContractViolation("quotas must sum to the remaining budget exactly")
     if (quotas > lengths).any() or (quotas < 0).any():
         raise ContractViolation("quota outside [0, segment length]")

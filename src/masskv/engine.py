@@ -17,7 +17,7 @@ from masskv.allocation import compute_quotas, must_keep, reconcile_budget
 from masskv.core import CompressionConfig, ContractViolation, check_name
 from masskv.mass import EmaCreditStore, UsageAccumulator, normalize_mass, smooth
 from masskv.scorers import get_scorer
-from masskv.segmentation import SegmentSet, segment
+from masskv.segmentation import SegmentSet, prefix_sums, segment
 from masskv.selector import (
     baseline_fixed_chunk,
     baseline_global_topk,
@@ -80,6 +80,7 @@ def compress_event(
     m = normalize_mass(smooth(u, cfg.smooth_kernel), cfg.epsilon)
     if credit is not None:
         m = credit.update_and_mix(m)
-    segs = segment(m, cfg)
-    quotas = compute_quotas(segs, m, t_rem, cfg).quotas
+    csum = prefix_sums(m)
+    segs = segment(m, cfg, csum)
+    quotas = compute_quotas(segs, m, t_rem, cfg, csum).quotas
     return select(g, segs, quotas, must.indices, t_keep), segs, quotas, m

@@ -115,13 +115,15 @@ def smooth(u: np.ndarray, kernel: int) -> np.ndarray:
     if kernel == 1 or t <= 1:
         return u.copy()
     r = kernel // 2
-    csum = np.zeros(u.shape[:-1] + (t + 1,))
-    np.cumsum(u, axis=-1, out=csum[..., 1:])
-    lo = np.maximum(np.arange(t) - r, 0)
-    hi = np.minimum(np.arange(t) + r + 1, t)
-    # take, not fancy indexing, keeps the rows C-contiguous, so row sums
-    # downstream add in the same order as for one row
-    return (csum.take(hi, axis=-1) - csum.take(lo, axis=-1)) / (hi - lo)
+    # each row's running sums from 0, held level for r columns on either side,
+    # so that column i's window sum is ext[i + kernel] - ext[i] at every column
+    ext = np.zeros(u.shape[:-1] + (t + kernel,))
+    np.cumsum(u, axis=-1, out=ext[..., r + 1 : t + r + 1])
+    ext[..., t + r + 1 :] = ext[..., t + r : t + r + 1]
+    i = np.arange(t, dtype=np.float64)
+    out = ext[..., kernel:] - ext[..., :t]
+    out /= np.minimum(i + r + 1, t) - np.maximum(i - r, 0)
+    return out
 
 
 def normalize_mass(u: np.ndarray, epsilon: float) -> np.ndarray:
@@ -132,15 +134,17 @@ def normalize_mass(u: np.ndarray, epsilon: float) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 1 or u.shape[-1] < 1:
         raise ContractViolation("cannot normalize an empty usage vector")
-    num = np.maximum(u, 0.0) + epsilon
-    return num / num.sum(axis=-1, keepdims=True)
+    num = np.maximum(u, 0.0)
+    num += epsilon
+    num /= num.sum(axis=-1, keepdims=True)
+    return num
 
 
-def _normalize(v: np.ndarray) -> np.ndarray:
+def _normalize(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     total = v.sum(axis=-1, keepdims=True)
     if not (total > 0.0).all():
         raise ContractViolation("cannot normalize a non-positive vector")
-    return v / total
+    return np.divide(v, total, out=out)
 
 
 class EmaCreditStore:
@@ -168,6 +172,9 @@ class EmaCreditStore:
         segmentation and quotas."""
         m_cur = np.asarray(m_cur, dtype=np.float64)
         c = self.credit[:, : m_cur.shape[-1]]
-        c[:] = self.decay * c + (1.0 - self.decay) * m_cur
-        mixed = self.mix * m_cur + (1.0 - self.mix) * _normalize(c)
-        return _normalize(mixed)
+        c *= self.decay
+        c += (1.0 - self.decay) * m_cur
+        mixed = _normalize(c)
+        mixed *= 1.0 - self.mix
+        mixed += self.mix * m_cur
+        return _normalize(mixed, out=mixed)

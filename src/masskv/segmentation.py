@@ -59,38 +59,54 @@ class SegmentSet:
         b, off, t = self.boundaries, self.offsets, self.total
         return [b[off[h] : off[h + 1] + 1] - h * t for h in range(self.heads)]
 
-    def masses(self, m: np.ndarray) -> np.ndarray:
-        """Total mass inside each segment, from each head's own [T] mass row."""
-        m = np.asarray(m, dtype=np.float64).reshape(self.heads, -1)
-        csum = np.zeros((self.heads, m.shape[1] + 1))
-        np.cumsum(m, axis=-1, out=csum[:, 1:])
+    def masses(self, csum: np.ndarray) -> np.ndarray:
+        """Total mass inside each segment, from each head's [T + 1] row of
+        ``prefix_sums``."""
         # row h of csum is one longer than a cache, so h * T + t is at h * (T + 1) + t
         csum, shift = csum.ravel(), self.owner
         return csum[self.ends + shift] - csum[self.starts + shift]
 
 
-def cut_points(m: np.ndarray, delta: float) -> np.ndarray:
+def prefix_sums(m: np.ndarray) -> np.ndarray:
+    """Each row's running sums of [..., T] mass as [rows, T + 1], from 0: the
+    one prefix sum that an event's cuts and segment masses both read."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim < 1 or m.shape[-1] < 1:
+        raise ContractViolation("mass vector must be non-empty")
+    m = m.reshape(-1, m.shape[-1])
+    csum = np.zeros((m.shape[0], m.shape[1] + 1))
+    np.cumsum(m, axis=-1, out=csum[:, 1:])
+    return csum
+
+
+def cut_points(m: np.ndarray, delta: float, csum: np.ndarray | None = None) -> np.ndarray:
     """Smallest positions where each row's cumulative mass crosses each
-    multiple of delta, in one search over the [..., T] mass.
+    multiple of delta; ``csum`` is the mass's ``prefix_sums``, if taken.
 
     Returned values are boundary positions in (0, T], in the concatenated
     caches for several rows (row h's position p is h * T + p), sorted and
     deduplicated; thresholds the total never reaches produce no cut.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim < 1 or m.shape[-1] < 1:
-        raise ContractViolation("mass vector must be non-empty")
     if not (0.0 < delta <= 1.0):
         raise ContractViolation(f"delta must be in (0, 1], got {delta}")
-    csum = np.cumsum(m, axis=-1)
-    # crossed counts the thresholds j * delta (j >= 1) at or below each prefix
-    # sum: the quotient's floor, moved by one where it rounded across one. Past
-    # the float range the quotient is inf, and its NaN difference is a cut, as
-    # thresholds that dense lie between any two distinct prefix sums.
+    csum = prefix_sums(m) if csum is None else csum
+    total, top = csum.shape[1] - 1, csum[:, -1].max()
     with np.errstate(over="ignore", invalid="ignore"):
-        crossed = np.floor(csum / delta)
-        crossed += (crossed + 1) * delta <= csum
-        crossed -= crossed * delta > csum
+        if np.min(m) >= 0.0 and top / delta < total:
+            # no negative mass, so every row's prefix sums rise, and fewer
+            # thresholds than positions: a search of each row finds where it
+            # first reaches each fl(j * delta), or T where it never does
+            thresholds = np.arange(1, int(top / delta) + 2) * delta
+            found = np.stack([np.searchsorted(row[1:], thresholds) for row in csum])
+            cuts = found + 1 + np.arange(len(csum))[:, None] * total
+            return np.unique(cuts[found < total])
+        # else count the thresholds at or below each prefix sum: the quotient's
+        # floor, moved by one where it rounded across one. Past the float range
+        # the quotient is inf, and its NaN difference is a cut, as thresholds
+        # that dense lie between any two distinct prefix sums.
+        crossed = np.floor(csum[:, 1:] / delta)
+        crossed += (crossed + 1) * delta <= csum[:, 1:]
+        crossed -= crossed * delta > csum[:, 1:]
         # position i + 1 is a cut when a threshold t has csum[i - 1] < t <= csum[i]
         return np.flatnonzero(np.diff(crossed, axis=-1, prepend=0)) + 1
 
@@ -144,9 +160,10 @@ def fixed_length_segments(total: int, length: int, heads: int = 1) -> SegmentSet
     return SegmentSet(np.append(starts.ravel(), heads * total), heads)
 
 
-def segment(m: np.ndarray, cfg: CompressionConfig) -> SegmentSet:
+def segment(m: np.ndarray, cfg: CompressionConfig, csum: np.ndarray | None = None) -> SegmentSet:
     """Full segmentation pipeline over every row of [..., T] mass (one row
-    per head): cuts, then split, then merge.
+    per head): cuts, then split, then merge. ``csum`` is the mass's
+    ``prefix_sums``, if the caller has taken them.
 
     In the fixed-length ablation the mass is ignored and each cache is tiled
     with segments of ``max_seg_len``.
@@ -155,7 +172,7 @@ def segment(m: np.ndarray, cfg: CompressionConfig) -> SegmentSet:
     total, heads = m.shape[-1], int(np.prod(m.shape[:-1]))
     if cfg.fixed_length_segments_on:
         return fixed_length_segments(total, cfg.max_seg_len, heads)
-    cuts = cut_points(m, cfg.segment_mass)
+    cuts = cut_points(m, cfg.segment_mass, csum)
     segs = SegmentSet(np.union1d(cuts, np.arange(heads + 1) * total), heads)
     segs = split_long(segs, cfg.max_seg_len)
     return merge_short(segs, cfg.min_seg_len)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masskv.allocation import (
+    MustKeepSet,
     apportion_with_caps,
     compute_quotas,
     largest_remainder,
@@ -69,6 +70,39 @@ def test_apportion_with_caps_redistributes():
     assert q[0] == 2  # capped; surplus went to the others
     with pytest.raises(ContractViolation):
         apportion_with_caps(np.ones(2), 5, np.array([2, 2]))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: largest_remainder([1.0, 1.0], 2.9), "total must be integers"),
+        (lambda: largest_remainder([1.0, 1.0], True), "total must be integers"),
+        (lambda: largest_remainder([1.0, 1.0], [1, 1], [0.0, 1.0, 2.0]), "bounds must be integers"),
+        (lambda: largest_remainder([1.0, 1.0], [1, 2], [0, 0, 2]), "positive total over nothing"),
+        (lambda: largest_remainder([], 1), "positive total over nothing"),
+        (lambda: apportion_with_caps([1.0, 1.0], 3, [1.9, 2.9]), "caps must be integers"),
+        (lambda: apportion_with_caps([1.0, 1.0], 3.0, [2, 2]), "total must be integers"),
+        (lambda: apportion_with_caps([1.0], -1, [3]), "total must be >= 0"),
+        (lambda: MustKeepSet([0.7], [5.5]), "sinks must be integers"),
+        (lambda: MustKeepSet([0], [True]), "recent must be integers"),
+    ],
+    ids=["float-total", "bool-total", "float-bounds", "empty-group", "empty", "float-caps",
+         "float-caps-total", "negative-caps-total", "float-must-keep", "bool-recent"],
+)
+def test_allocation_rejects_inputs_it_would_truncate(call, match):
+    # each of these was once truncated (2.9 became 2, 5.5 became 5) or
+    # apportioned to a wrong total
+    with pytest.raises(ContractViolation, match=match):
+        call()
+
+
+def test_allocation_takes_integers_of_any_width():
+    assert largest_remainder([1.0, 1.0], np.int32(3)).tolist() == [2, 1]
+    bounds = np.array([0, 1, 2], np.int16)
+    assert largest_remainder([1.0, 1.0], [np.uint8(1), 2], bounds).tolist() == [1, 2]
+    assert apportion_with_caps([1.0, 1.0], 3, np.array([1, 2], np.int32)).tolist() == [1, 2]
+    assert MustKeepSet(np.array([0], np.int32), [5]).indices.tolist() == [0, 5]
+    assert MustKeepSet([], []).indices.tolist() == [] and largest_remainder([], 0).size == 0
 
 
 def test_compute_quotas_hand_case():

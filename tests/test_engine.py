@@ -191,6 +191,31 @@ def test_each_stage_runs_once_per_event_not_once_per_head(monkeypatch, policy, p
         assert calls == {name: n * len(trace.events) for name, n in per_event.items()}
 
 
+@pytest.mark.parametrize("ema_on", [True, False])
+@pytest.mark.parametrize("fixed", [False, True])
+def test_an_ams_event_takes_one_prefix_sum_of_its_mass(monkeypatch, ema_on, fixed):
+    # the cuts and the segment masses read the same [heads, T] prefix sums;
+    # the spy sees every np.cumsum call and keeps the arrays it was handed
+    summed, cumsum = [], np.cumsum
+
+    def spy(a, *args, **kwargs):
+        summed.append(np.array(a, copy=True))
+        return cumsum(a, *args, **kwargs)
+
+    heads, total, w = 3, 90, 12
+    cfg = default_config().replace(
+        t_keep=40, window=w, ema_on=ema_on, fixed_length_segments_on=fixed, min_seg_len=4
+    )
+    rows = _rows(np.random.default_rng(4), "random", heads, w, total, np.float64)
+    usage = UsageAccumulator()
+    for j in range(w):
+        usage.add(rows[:, j, : total - w + 1 + j])
+    credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, heads, total) if ema_on else None
+    monkeypatch.setattr(np, "cumsum", spy)
+    mass = compress_event("ams", heads, total, usage, None, cfg, credit=credit)[3]
+    assert sum(a.shape == mass.shape and np.array_equal(a, mass) for a in summed) == 1
+
+
 @pytest.mark.parametrize("policy", ["bogus", {}, [], None])
 def test_an_event_of_no_known_policy_is_a_config_error(policy):
     # a dict or list is unhashable

@@ -267,6 +267,60 @@ def test_smooth_interior_is_exact_moving_average():
     assert abs(out[2:48].sum() - sum(u[t - 2 : t + 3].mean() for t in range(2, 48))) < 1e-9
 
 
+def _smooth_take(u, kernel):
+    """The moving average as every window's sum gathered by ``take`` from
+    the prefix sums and divided by its width."""
+    u = np.asarray(u, dtype=np.float64)
+    t = u.shape[-1]
+    if kernel == 1 or t <= 1:
+        return u.copy()
+    r = kernel // 2
+    csum = np.zeros(u.shape[:-1] + (t + 1,))
+    np.cumsum(u, axis=-1, out=csum[..., 1:])
+    lo = np.maximum(np.arange(t) - r, 0)
+    hi = np.minimum(np.arange(t) + r + 1, t)
+    return (csum.take(hi, axis=-1) - csum.take(lo, axis=-1)) / (hi - lo)
+
+
+def _normalize_mass_plain(u, epsilon):
+    num = np.maximum(np.asarray(u, dtype=np.float64), 0.0) + epsilon
+    return num / num.sum(axis=-1, keepdims=True)
+
+
+def _update_and_mix_plain(credit, decay, mix, m_cur):
+    """The EMA step as one expression per line; updates ``credit`` and
+    returns the mixed mass."""
+    m_cur = np.asarray(m_cur, dtype=np.float64)
+    c = credit[:, : m_cur.shape[-1]]
+    c[:] = decay * c + (1.0 - decay) * m_cur
+    n = c / c.sum(axis=-1, keepdims=True)
+    mixed = mix * m_cur + (1.0 - mix) * n
+    return mixed / mixed.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mass_chain_keeps_the_bits_of_its_plain_formulas(lead, dtype):
+    # smooth, normalize_mass and update_and_mix work in place on their own
+    # temporaries; every float, and the credit, equals the plain formulas'
+    rng = np.random.default_rng(len(lead) + (dtype == np.float32))
+    for t in [*range(1, 12), 40, 257]:
+        u = (rng.random(lead + (t,)) ** 3).astype(dtype)
+        for kernel in (1, 3, 5, 7, 9):
+            np.testing.assert_array_equal(smooth(u, kernel), _smooth_take(u, kernel))
+        m = normalize_mass(smooth(u, 5) - 0.1, 1e-6)
+        np.testing.assert_array_equal(m, _normalize_mass_plain(_smooth_take(u, 5) - 0.1, 1e-6))
+        rows = m.reshape(-1, t).astype(dtype)
+        store = EmaCreditStore(0.9, 0.7, len(rows), t + 3)
+        store.credit[:] = rng.random(store.credit.shape)
+        credit = store.credit.copy()
+        for _ in range(3):  # the credit carries over from one event to the next
+            np.testing.assert_array_equal(
+                store.update_and_mix(rows), _update_and_mix_plain(credit, 0.9, 0.7, rows)
+            )
+            np.testing.assert_array_equal(store.credit, credit)
+
+
 def test_normalize_mass_examples():
     np.testing.assert_allclose(normalize_mass(np.array([1.0, 3.0]), 1e-12), [0.25, 0.75], atol=1e-9)
     np.testing.assert_allclose(normalize_mass(np.array([-2.0, 2.0]), 0.5), [1 / 6, 5 / 6])

@@ -9,6 +9,7 @@ from masskv.segmentation import (
     cut_points,
     fixed_length_segments,
     merge_short,
+    prefix_sums,
     segment,
     split_long,
 )
@@ -55,6 +56,62 @@ def test_cut_points_tiny_delta_cuts_every_position(delta):
     m = np.random.default_rng(1).dirichlet(np.ones(50), size=3)
     assert cut_points(m, delta).tolist() == list(range(1, 151))
     assert cut_points(m[0], delta).tolist() == list(range(1, 51))
+
+
+def _cut_forms(monkeypatch):
+    """A list that gets one entry per cut_points call that searched the
+    thresholds; a call that counted them adds none."""
+    searched, search = [], np.searchsorted
+
+    def spy(*args, **kwargs):
+        searched.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return searched
+
+
+@pytest.mark.parametrize(
+    "m, delta, searched",
+    [
+        ([0.25, 0.25, 0.25, 0.25], 0.5, True),  # 2 thresholds over 4 positions
+        ([0.25, 0.25, 0.25, 0.25], 0.25, False),  # as many thresholds as positions
+        ([2.53, 0.11], 0.11, False),  # a total above 1
+        ([0.0, 0.5, 0.5], 0.4, True),
+        ([0.5, -0.25, 0.5], 0.25, False),  # a falling row
+        ([[0.5, 0.5], [0.1, 0.1]], 0.6, True),  # rows of different totals
+    ],
+)
+def test_cut_points_form_follows_the_threshold_count(monkeypatch, m, delta, searched):
+    # the thresholds are searched while they are fewer than the positions
+    # and every row rises; otherwise they are counted
+    forms = _cut_forms(monkeypatch)
+    cuts = cut_points(np.array(m), delta)
+    assert bool(forms) == searched
+    rows = np.atleast_2d(m)
+    t = rows.shape[1]
+    if (rows >= 0).all():
+        assert cuts.tolist() == [
+            h * t + c for h, row in enumerate(rows) for c in cut_points_reference(row, delta)
+        ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cut_points_matches_reference_on_both_sides_of_the_switch(data):
+    # thresholds top / delta land at T - 1, T or T + 1, around the count at
+    # which the search gives way to the floor count; totals need not be 1
+    rows = data.draw(st.sampled_from([1, 4]))
+    t = data.draw(st.integers(1, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = rng.random((rows, t)) * (rng.random((rows, t)) < data.draw(st.sampled_from([0.3, 1.0])))
+    m = m * data.draw(st.sampled_from([0.3, 1.0, 2.53, 40.0])) / max(m.sum(axis=-1).max(), 1e-9)
+    m = m.astype(data.draw(st.sampled_from([np.float64, np.float32])))
+    top = float(np.cumsum(m.astype(np.float64), axis=-1)[:, -1].max())
+    count = t + data.draw(st.sampled_from([-1, 0, 1]))
+    delta = top / count if top > 0 and count > 0 and top <= count else 0.05
+    expected = [h * t + c for h, row in enumerate(m) for c in cut_points_reference(row, delta)]
+    assert cut_points(m if rows > 1 else m[0], delta).tolist() == expected
 
 
 def test_cut_points_delta_one_single_segment():
@@ -129,7 +186,7 @@ def test_segmentset_validation():
 def test_masses_prefix_differences():
     m = np.array([0.1, 0.2, 0.3, 0.4])
     segs = _segs(0, 2, 4)
-    np.testing.assert_allclose(segs.masses(m), [0.3, 0.7])
+    np.testing.assert_allclose(segs.masses(prefix_sums(m)), [0.3, 0.7])
 
 
 @settings(max_examples=200, deadline=None)
