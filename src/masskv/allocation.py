@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from masskv.core import CompressionConfig, ConfigError, ContractViolation, integers
-from masskv.segmentation import SegmentSet, prefix_sums
+from masskv.segmentation import SegmentSet, check_tiling, prefix_sums
 
 
 class MustKeepSet:
@@ -163,6 +163,7 @@ def compute_quotas(
     """
     if t_rem < 0:
         raise ContractViolation("t_rem must be >= 0")
+    check_tiling(np.shape(m), segs.heads, segs.total, "mass")
     lengths = segs.lengths
     masses = segs.masses(prefix_sums(m) if csum is None else csum)
     if t_rem > segs.total:

@@ -171,6 +171,9 @@ class EmaCreditStore:
         current [heads, T] mass and return the history-aware mass used for
         segmentation and quotas."""
         m_cur = np.asarray(m_cur, dtype=np.float64)
+        heads, capacity = self.credit.shape
+        if m_cur.shape[:-1] != (heads,) or m_cur.shape[-1] > capacity:
+            raise ContractViolation(f"mass {m_cur.shape} does not fit credit {self.credit.shape}")
         c = self.credit[:, : m_cur.shape[-1]]
         c *= self.decay
         c += (1.0 - self.decay) * m_cur

@@ -8,6 +8,8 @@ segmented in the same calls: a ``SegmentSet`` holds all heads' segments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from masskv.core import CompressionConfig, ContractViolation, integers
@@ -26,6 +28,8 @@ class SegmentSet:
     """
 
     def __init__(self, boundaries: np.ndarray, heads: int = 1):
+        if heads < 1:
+            raise ContractViolation(f"need at least one head, got {heads}")
         boundaries = integers(boundaries, "boundaries")
         if boundaries.ndim != 1 or boundaries.size < 2:
             raise ContractViolation("need at least [0, T] as boundaries")
@@ -62,6 +66,7 @@ class SegmentSet:
     def masses(self, csum: np.ndarray) -> np.ndarray:
         """Total mass inside each segment, from each head's [T + 1] row of
         ``prefix_sums``."""
+        _check_prefix_sums(csum, (self.heads, self.total), "segments")
         # row h of csum is one longer than a cache, so h * T + t is at h * (T + 1) + t
         csum, shift = csum.ravel(), self.owner
         return csum[self.ends + shift] - csum[self.starts + shift]
@@ -79,6 +84,21 @@ def prefix_sums(m: np.ndarray) -> np.ndarray:
     return csum
 
 
+def check_tiling(shape: tuple, rows: int, total: int, what: str) -> None:
+    """Reject an array of ``shape`` unless it is [..., total] with ``rows``
+    rows in all, so that its rows laid end to end are [0, rows * total)."""
+    if shape[-1:] != (total,) or math.prod(shape) != rows * total:
+        raise ContractViolation(f"{what} of shape {shape} do not tile {rows} rows of {total}")
+
+
+def _check_prefix_sums(csum: np.ndarray, shape: tuple, what: str) -> None:
+    """Reject ``csum`` unless it is [rows, T + 1]: the ``prefix_sums`` of a
+    [..., T] ``what`` of ``shape`` that holds as many rows."""
+    if np.ndim(csum) != 2:
+        raise ContractViolation(f"prefix sums must be [rows, T + 1], got {np.shape(csum)}")
+    check_tiling(shape, len(csum), csum.shape[1] - 1, what)
+
+
 def cut_points(m: np.ndarray, delta: float, csum: np.ndarray | None = None) -> np.ndarray:
     """Smallest positions where each row's cumulative mass crosses each
     multiple of delta; ``csum`` is the mass's ``prefix_sums``, if taken.
@@ -90,6 +110,7 @@ def cut_points(m: np.ndarray, delta: float, csum: np.ndarray | None = None) -> n
     if not (0.0 < delta <= 1.0):
         raise ContractViolation(f"delta must be in (0, 1], got {delta}")
     csum = prefix_sums(m) if csum is None else csum
+    _check_prefix_sums(csum, np.shape(m), "mass")
     total, top = csum.shape[1] - 1, csum[:, -1].max()
     with np.errstate(over="ignore", invalid="ignore"):
         if np.min(m) >= 0.0 and top / delta < total:
@@ -111,31 +132,33 @@ def cut_points(m: np.ndarray, delta: float, csum: np.ndarray | None = None) -> n
         return np.flatnonzero(np.diff(crossed, axis=-1, prepend=0)) + 1
 
 
-def split_long(segs: SegmentSet, max_len: int) -> SegmentSet:
-    """Replace each over-long segment by ceil(L/max_len) near-equal parts,
-    the longer parts first."""
+def split_long(bounds: np.ndarray, max_len: int) -> np.ndarray:
+    """The flat int64 ``bounds``, laid out as a ``SegmentSet``'s boundaries
+    but not yet checked, with each over-long segment replaced by
+    ceil(L/max_len) near-equal parts, the longer parts first."""
     if max_len < 1:
         raise ContractViolation("max_len must be >= 1")
-    lengths = segs.lengths
+    lengths = np.diff(bounds)
     parts = -(-lengths // max_len)
     base, rem = np.divmod(lengths, parts)
     owner = np.repeat(np.arange(lengths.size), parts)
     rank = np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
     pieces = base[owner] + (rank < rem[owner])
-    return SegmentSet(np.concatenate([[0], np.cumsum(pieces)]), segs.heads)
+    return np.concatenate([[0], np.cumsum(pieces)])
 
 
-def merge_short(segs: SegmentSet, min_len: int) -> SegmentSet:
-    """Left-to-right sweep over each head merging under-length segments into
-    their right neighbor; a head's short final segment merges leftward
-    instead. A head's single segment shorter than min_len survives as-is when
-    there is nothing to merge with.
+def merge_short(bounds: np.ndarray, min_len: int, heads: int = 1) -> np.ndarray:
+    """Left-to-right sweep over each of ``heads`` heads of the flat int64
+    ``bounds``, laid out as in ``split_long``, merging under-length
+    segments into their right neighbor; a head's short final segment
+    merges leftward instead. A head's single segment shorter than min_len
+    survives as-is when there is nothing to merge with.
     """
     if min_len < 1:
         raise ContractViolation("min_len must be >= 1")
-    total = segs.total
+    total = int(bounds[-1]) // heads
     out, start = [0], 0
-    for b in segs.ends.tolist():
+    for b in bounds[1:].tolist():
         if b - start >= min_len:
             out.append(b)
         elif b % total == 0:
@@ -148,7 +171,7 @@ def merge_short(segs: SegmentSet, min_len: int) -> SegmentSet:
         else:
             continue
         start = b
-    return SegmentSet(np.array(out, dtype=np.int64), segs.heads)
+    return np.array(out, dtype=np.int64)
 
 
 def fixed_length_segments(total: int, length: int, heads: int = 1) -> SegmentSet:
@@ -162,7 +185,8 @@ def fixed_length_segments(total: int, length: int, heads: int = 1) -> SegmentSet
 
 def segment(m: np.ndarray, cfg: CompressionConfig, csum: np.ndarray | None = None) -> SegmentSet:
     """Full segmentation pipeline over every row of [..., T] mass (one row
-    per head): cuts, then split, then merge. ``csum`` is the mass's
+    per head): cuts, then split, then merge, all on the flat boundaries,
+    which one ``SegmentSet`` checks at the end. ``csum`` is the mass's
     ``prefix_sums``, if the caller has taken them.
 
     In the fixed-length ablation the mass is ignored and each cache is tiled
@@ -172,7 +196,6 @@ def segment(m: np.ndarray, cfg: CompressionConfig, csum: np.ndarray | None = Non
     total, heads = m.shape[-1], int(np.prod(m.shape[:-1]))
     if cfg.fixed_length_segments_on:
         return fixed_length_segments(total, cfg.max_seg_len, heads)
-    cuts = cut_points(m, cfg.segment_mass, csum)
-    segs = SegmentSet(np.union1d(cuts, np.arange(heads + 1) * total), heads)
-    segs = split_long(segs, cfg.max_seg_len)
-    return merge_short(segs, cfg.min_seg_len)
+    bounds = np.union1d(cut_points(m, cfg.segment_mass, csum), np.arange(heads + 1) * total)
+    bounds = merge_short(split_long(bounds, cfg.max_seg_len), cfg.min_seg_len, heads)
+    return SegmentSet(bounds, heads)

@@ -5,12 +5,12 @@ handles every row in one call.
 Ranking is total and deterministic everywhere: higher score wins, NaN ranks
 last, ties go to the lower index. No row is ranked in full; every pick is
 made at a boundary that ``_best_n`` finds with a partition. AMS and the
-fixed-chunk baseline both give each segment a quota and keep its best
-positions (``_segment_picks``); fixed chunks take their quotas in the order
-of their chunk sums, the one sort left. Global top-k is the must-keep set
-plus the best of the rest, and the fit to the budget keeps the best
-non-must picks (trimming) or adds the best unpicked positions (backfilling),
-which keeps everything when T <= t_keep.
+fixed-chunk baseline both give each segment a quota and pick through
+``select``, which keeps each segment's best positions; fixed chunks take
+their quotas in the order of their chunk sums, the one sort left. Global
+top-k is the must-keep set plus the best of the rest, and the fit to the
+budget keeps the best non-must picks (trimming) or adds the best unpicked
+positions (backfilling), which keeps everything when T <= t_keep.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from masskv.allocation import MustKeepSet, reconcile_budget
 from masskv.core import ContractViolation, integers
-from masskv.segmentation import SegmentSet, fixed_length_segments
+from masskv.segmentation import SegmentSet, check_tiling, fixed_length_segments
 
 
 def _best_n(g: np.ndarray, cand: np.ndarray, n) -> np.ndarray:
@@ -86,16 +86,14 @@ def _fit_to_budget(mask: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: in
     return np.flatnonzero(mask).reshape(mask.shape[:-1] + (target,)) % total
 
 
-def _segment_picks(
-    g: np.ndarray, starts: np.ndarray, lengths: np.ndarray, quotas: np.ndarray
-) -> np.ndarray:
+def _segment_picks(g: np.ndarray, segs: SegmentSet, quotas: np.ndarray) -> np.ndarray:
     """Mask of each segment's ``quotas`` best positions in the [..., T]
-    scores, where the segments tile the rows laid end to end: segment i is
-    flat positions [starts[i], starts[i] + lengths[i]). A segment whose
+    scores, whose rows laid end to end ``segs`` tiles. A segment whose
     quota is its length is kept whole. The rest are picked in padded
     [segments, width] windows, one per bit length of their lengths and as
     wide as its longest member, so padding stays under 2x for any layout.
     """
+    starts, lengths = segs.starts, segs.lengths
     mask = np.repeat(quotas == lengths, lengths)
     flat = g.reshape(-1)
     part = np.flatnonzero((quotas > 0) & (quotas < lengths))
@@ -117,12 +115,11 @@ def select(
     exactly min(t_keep, T) indices per row of the [..., T] scores, one row
     per head of ``segs``. Everything is kept when T <= t_keep."""
     g = np.asarray(g, dtype=np.float64)
-    if segs.total != g.shape[-1] or segs.boundaries[-1] != g.size:
-        raise ContractViolation("segments do not tile the score vector")
+    check_tiling(g.shape, segs.heads, segs.total, "scores")
     quotas, lengths = integers(quotas, "quotas"), segs.lengths
     if quotas.shape != lengths.shape or not ((quotas >= 0) & (quotas <= lengths)).all():
         raise ContractViolation(f"need one quota in [0, length] per segment, got {quotas}")
-    return _fit_to_budget(_segment_picks(g, segs.starts, lengths, quotas), must, g, t_keep)
+    return _fit_to_budget(_segment_picks(g, segs, quotas), must, g, t_keep)
 
 
 def baseline_global_topk(g: np.ndarray, must: np.ndarray, t_keep: int) -> np.ndarray:
@@ -145,8 +142,7 @@ def baseline_fixed_chunk(
 ) -> np.ndarray:
     """Rank each row's fixed chunks by summed score and give each, in rank
     order, as much of what is left of the budget as it holds; each chunk
-    then keeps its best positions for its quota. The union with ``must`` is
-    fitted to the budget as in ``select``."""
+    then keeps its best positions for its quota through ``select``."""
     if chunk_len < 1:
         raise ContractViolation("chunk_len must be >= 1")
     g = np.asarray(g, dtype=np.float64)
@@ -164,5 +160,4 @@ def baseline_fixed_chunk(
     before = np.cumsum(ranked_len, axis=-1) - ranked_len
     quotas = np.empty(sums.shape, dtype=np.int64)
     np.put_along_axis(quotas, ranked, np.clip(t_keep - before, 0, ranked_len), axis=-1)
-    mask = _segment_picks(g, chunks.starts, chunks.lengths, quotas.ravel())
-    return _fit_to_budget(mask, must, g, t_keep)
+    return select(g, chunks, quotas.ravel(), must, t_keep)

@@ -12,7 +12,7 @@ from masskv.allocation import (
     reconcile_budget,
 )
 from masskv.core import ConfigError, ContractViolation, default_config
-from masskv.segmentation import SegmentSet
+from masskv.segmentation import SegmentSet, cut_points, prefix_sums
 
 
 def _segset(lengths):
@@ -94,6 +94,35 @@ def test_allocation_rejects_inputs_it_would_truncate(call, match):
     # apportioned to a wrong total
     with pytest.raises(ContractViolation, match=match):
         call()
+
+
+_TWO_ROWS = np.full((2, 8), 1 / 8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a [10] mass over T = 8: only its first 8 entries were read
+        lambda cfg: compute_quotas(_segset([4, 4]), np.full(10, 0.1), 4, cfg),
+        # a [2, 8] mass over one head of 16: row 1's prefix sums were read
+        lambda cfg: compute_quotas(_segset([8, 8]), _TWO_ROWS / 2, 4, cfg),
+        # a [6] mass over T = 8: a bare IndexError
+        lambda cfg: compute_quotas(_segset([4, 4]), np.full(6, 1 / 6), 4, cfg),
+        # two heads' mass with one head's prefix sums
+        lambda cfg: compute_quotas(
+            SegmentSet(np.array([0, 4, 8, 16]), 2), _TWO_ROWS, 4, cfg, prefix_sums(_TWO_ROWS[0])
+        ),
+        # one row's prefix sums for two rows of mass: row 0's cuts alone
+        lambda cfg: cut_points(_TWO_ROWS, 0.25, prefix_sums(_TWO_ROWS[0])),
+        # prefix sums that are [T + 1], not [rows, T + 1]
+        lambda cfg: cut_points(_TWO_ROWS[0], 0.25, prefix_sums(_TWO_ROWS[0])[0]),
+    ],
+    ids=["longer-mass", "two-rows-one-head", "shorter-mass", "one-row-csum-quotas",
+         "one-row-csum-cuts", "flat-csum"],
+)
+def test_a_mass_or_prefix_sums_that_do_not_tile_the_segments_are_rejected(call):
+    with pytest.raises(ContractViolation, match="tile|prefix sums"):
+        call(default_config())
 
 
 def test_allocation_takes_integers_of_any_width():

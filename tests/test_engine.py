@@ -103,6 +103,28 @@ def test_compress_event_matches_the_per_head_oracles(data):
         assert keep[h].tolist() == ref
 
 
+def test_an_ams_event_builds_one_segment_set(monkeypatch):
+    # cuts, split and merge work on the flat boundaries; only the final
+    # partition is built, and checked, as a SegmentSet
+    built, init = [], SegmentSet.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SegmentSet, "__init__", spy)
+    heads, total, w = 3, 120, 8
+    rng = np.random.default_rng(4)
+    rows = _rows(rng, "random", heads, w, total, np.float64)
+    usage = UsageAccumulator()
+    for j in range(w):
+        usage.add(rows[:, j, : total - w + 1 + j])
+    cfg = default_config().replace(t_keep=40, min_seg_len=4, max_seg_len=16)
+    keep, segs, _, _ = compress_event("ams", heads, total, usage, None, cfg)
+    assert keep.shape == (heads, 40) and segs.heads == heads
+    assert len(built) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_baseline_events_match_the_per_head_oracles(data):

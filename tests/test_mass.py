@@ -372,6 +372,16 @@ def test_ema_hand_evaluation():
     np.testing.assert_allclose(out, [[0.5, 0.5], [0.25, 0.75]])
 
 
+@pytest.mark.parametrize("shape", [(8,), (2, 8), (1, 4, 8), (4, 17)])
+def test_ema_rejects_a_mass_that_does_not_fit_its_credit(shape):
+    # a [8] mass on a 4-head store was once mixed into [4, 8]; a wrong head
+    # count or a T past capacity was once a bare broadcast error
+    store = EmaCreditStore(decay=0.9, mix=0.9, heads=4, capacity=16)
+    with pytest.raises(ContractViolation, match="does not fit credit"):
+        store.update_and_mix(np.full(shape, 1 / shape[-1]))
+    assert not store.credit.any()
+
+
 def test_ema_output_is_distribution_and_converges():
     rng = np.random.default_rng(7)
     store = EmaCreditStore(decay=0.9, mix=0.9, heads=1, capacity=16)  # zero credit

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from masskv.core import ContractViolation, default_config
@@ -14,7 +14,12 @@ from masskv.segmentation import (
     split_long,
 )
 
-from reference import cut_points_reference, segment_reference
+from reference import (
+    cut_points_reference,
+    merge_short_reference,
+    segment_reference,
+    split_long_reference,
+)
 
 
 def _segs(*boundaries):
@@ -120,31 +125,66 @@ def test_cut_points_delta_one_single_segment():
     assert list(segs) == [(0, 17)]
 
 
+def _bounds(*boundaries):
+    return np.array(boundaries, dtype=np.int64)
+
+
 def test_split_long_balanced():
-    out = split_long(_segs(0, 10), 4)
-    assert list(out) == [(0, 4), (4, 7), (7, 10)]
+    assert split_long(_bounds(0, 10), 4).tolist() == [0, 4, 7, 10]
 
 
 def test_split_long_identity_and_minimal_violation():
-    assert list(split_long(_segs(0, 4, 8), 4)) == [(0, 4), (4, 8)]
-    out = split_long(_segs(0, 5), 4)
-    lengths = [b - a for a, b in out]
-    assert len(out) == 2 and max(lengths) - min(lengths) <= 1
+    assert split_long(_bounds(0, 4, 8), 4).tolist() == [0, 4, 8]
+    lengths = np.diff(split_long(_bounds(0, 5), 4))
+    assert len(lengths) == 2 and lengths.max() - lengths.min() <= 1
 
 
 def test_merge_short_sweep():
-    out = merge_short(_segs(0, 2, 4, 24), 4)
-    assert [b - a for a, b in out] == [4, 20]
+    assert np.diff(merge_short(_bounds(0, 2, 4, 24), 4)).tolist() == [4, 20]
 
 
 def test_merge_short_identity_and_exhaustion():
-    assert list(merge_short(_segs(0, 4, 24), 4)) == [(0, 4), (4, 24)]
-    assert list(merge_short(_segs(0, 1, 3), 16)) == [(0, 3)]
+    assert merge_short(_bounds(0, 4, 24), 4).tolist() == [0, 4, 24]
+    assert merge_short(_bounds(0, 1, 3), 16).tolist() == [0, 3]
 
 
 def test_merge_short_final_leftward():
-    out = merge_short(_segs(0, 20, 22), 4)
-    assert list(out) == [(0, 22)]
+    assert merge_short(_bounds(0, 20, 22), 4).tolist() == [0, 22]
+
+
+def _pairs(bounds):
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.integers(1, 30),
+    cuts=st.lists(st.sets(st.integers(1, 29)), min_size=1, max_size=4),
+    max_len=st.integers(1, 12),
+    min_len=st.integers(1, 12),
+)
+@example(t=10, cuts=[{4, 9}, {2, 5}], max_len=10, min_len=3)  # head 0's trailing run is short
+@example(t=5, cuts=[{2}, set(), {1, 3}], max_len=8, min_len=8)  # head 1 is one short segment
+def test_flat_split_and_merge_match_the_per_head_references(t, cuts, max_len, min_len):
+    # one flat pass over every head's boundaries equals the naive interval
+    # rules run on each head alone, shifted by h * T and laid end to end
+    heads = len(cuts)
+    per_head = [sorted({0, t} | {c for c in cut if c < t}) for cut in cuts]
+    intervals = [list(zip(b[:-1], b[1:])) for b in per_head]
+    bounds = np.unique(np.concatenate([np.array(b) + h * t for h, b in enumerate(per_head)]))
+
+    def laid_out(rule):
+        return [(a + h * t, b + h * t) for h, iv in enumerate(intervals) for a, b in rule(iv)]
+
+    split = split_long(bounds, max_len)
+    assert split.dtype == np.int64
+    assert _pairs(split) == laid_out(lambda iv: split_long_reference(iv, max_len))
+    assert _pairs(merge_short(bounds, min_len, heads)) == laid_out(
+        lambda iv: merge_short_reference(iv, min_len)
+    )
+    assert _pairs(merge_short(split, min_len, heads)) == laid_out(
+        lambda iv: merge_short_reference(split_long_reference(iv, max_len), min_len)
+    )
 
 
 def test_fixed_length_mode():
@@ -179,6 +219,8 @@ def test_segmentset_validation():
         _segs(1, 4)
     with pytest.raises(ContractViolation):
         _segs(0, 4, 4)
+    with pytest.raises(ContractViolation, match="at least one head"):
+        SegmentSet(np.array([0, 4]), heads=0)  # before any division by it
     with pytest.raises(ContractViolation):
         cut_points(np.array([0.5, 0.5]), 0.0)
 
