@@ -73,7 +73,7 @@ def _groups(size: int, total, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if (total < 0).any():
         raise ContractViolation("total must be >= 0")
     bounds = np.array([0, size]) if bounds is None else integers(bounds, "bounds")
-    return total, bounds, np.repeat(np.arange(total.size), np.diff(bounds))
+    return total, bounds, np.arange(total.size).repeat(bounds[1:] - bounds[:-1])
 
 
 def largest_remainder(weights: np.ndarray, total, bounds=None) -> np.ndarray:
@@ -89,20 +89,24 @@ def largest_remainder(weights: np.ndarray, total, bounds=None) -> np.ndarray:
 
 
 def _hamilton(weights, total, bounds, owner) -> np.ndarray:
-    """``largest_remainder`` on float64 weights and the checked ``_groups``."""
-    # one sum per group: np.add.reduceat adds in another order than .sum(),
-    # which would change the last bits of the shares
-    wsum = np.array([weights[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+    """``largest_remainder`` on float64 weights and the checked ``_groups``;
+    a group with no entries may have any total, and a total may be a float
+    of integer value."""
+    # one pairwise sum per group, as .sum() adds: np.add.reduceat or a
+    # weighted np.bincount adds in another order and changes the shares' bits
+    cut = bounds.tolist()
+    wsum = np.array([np.add.reduce(weights[a:b]) for a, b in zip(cut[:-1], cut[1:])])
     flat = wsum <= 0.0
     if flat.any():
         weights = np.where(flat[owner], 1.0, weights)
-        wsum = np.where(flat, np.diff(bounds), wsum)
+        wsum = np.where(flat, bounds[1:] - bounds[:-1], wsum)
     shares = total[owner] * weights / wsum[owner]
     q = np.floor(shares).astype(np.int64)
-    deficit = total - _sums(q, owner, total.size)
+    # float sums of integers, exact below 2**53 like every count here
+    deficit = total - np.bincount(owner, q, total.size)
     # one stable sort keyed by (group, -remainder): each group's largest
     # remainders come first, ties to the lower index
-    order = np.lexsort((-(shares - q), owner))
+    order = np.lexsort((q - shares, owner))
     q[order[np.arange(q.size) - bounds[owner] < deficit[owner]]] += 1
     return q
 
@@ -119,23 +123,25 @@ def apportion_with_caps(weights: np.ndarray, total, caps: np.ndarray, bounds=Non
     room = _sums(caps, owner, total.size)
     if (total > room).any():
         raise ContractViolation(f"total {total} exceeds capacity {room}")
-    q = np.zeros_like(caps)
-    active = caps > 0
-    remaining = total
+    q = np.zeros(caps.shape, dtype=np.int64)
+    # each round holds the entries that are under their caps in groups with
+    # budget left, in order: an entry leaves at its cap, and a group with
+    # nothing left over has no overflow to get back, so it never returns
+    pos = ((caps > 0) & (total > 0)[owner]).nonzero()[0]
+    grp, w, left, remaining = owner[pos], weights[pos], caps[pos], total
+    groups = np.arange(total.size + 1)
     for _ in range(caps.size):
-        counts = _sums(active, owner, total.size)
-        live = (remaining > 0) & (counts > 0)
-        if not live.any():
+        if not pos.size:
             break
-        sel = active & live[owner]
-        counts = counts[live]
-        sub_owner = np.repeat(np.arange(counts.size), counts)
-        sub_bounds = np.append(0, np.cumsum(counts))
-        q[sel] += _hamilton(weights[sel], remaining[live], sub_bounds, sub_owner)
-        over = np.maximum(q - caps, 0)
-        q -= over
-        remaining = _sums(over, owner, total.size)
-        active &= q < caps
+        # grp rises, so each group's entries start where a search puts it
+        add = _hamilton(w, remaining, grp.searchsorted(groups), grp)
+        over = np.maximum(add - left, 0)
+        add -= over
+        q[pos] += add
+        left -= add
+        remaining = np.bincount(grp, over, total.size)
+        stay = (left > 0) & (remaining[grp] > 0)
+        pos, grp, w, left = pos[stay], grp[stay], w[stay], left[stay]
     return q
 
 
@@ -181,6 +187,6 @@ def compute_quotas(
     )
     if (_sums(quotas, owner, heads) != t_rem).any():
         raise ContractViolation("quotas must sum to the remaining budget exactly")
-    if (quotas > lengths).any() or (quotas < 0).any():
+    if ((quotas > lengths) | (quotas < 0)).any():
         raise ContractViolation("quota outside [0, segment length]")
     return QuotaVector(quotas=quotas, seg_mass=masses)

@@ -28,24 +28,15 @@ class SegmentSet:
     """
 
     def __init__(self, boundaries: np.ndarray, heads: int = 1):
-        if heads < 1:
-            raise ContractViolation(f"need at least one head, got {heads}")
-        boundaries = integers(boundaries, "boundaries")
-        if boundaries.ndim != 1 or boundaries.size < 2:
-            raise ContractViolation("need at least [0, T] as boundaries")
-        if boundaries[0] != 0:
-            raise ContractViolation("first boundary must be 0")
-        self.lengths = np.diff(boundaries)
-        if not (self.lengths > 0).all():
-            raise ContractViolation("boundaries must be strictly increasing")
+        boundaries, self.lengths = check_boundaries(boundaries, heads)
         breaks = np.arange(heads + 1) * (boundaries[-1] // heads)
-        self.offsets = np.searchsorted(boundaries, breaks)
-        if breaks[-1] != boundaries[-1] or not (boundaries[self.offsets] == breaks).all():
+        self.offsets = boundaries.searchsorted(breaks)
+        if not (boundaries[self.offsets] == breaks).all():
             raise ContractViolation(f"boundaries must split into {heads} heads of equal length")
         self.boundaries, self.heads = boundaries, heads
         self.starts, self.ends = boundaries[:-1], boundaries[1:]
         self.total = int(boundaries[-1]) // heads
-        self.owner = np.repeat(np.arange(heads), np.diff(self.offsets))
+        self.owner = np.arange(heads).repeat(self.offsets[1:] - self.offsets[:-1])
 
     @classmethod
     def single(cls, total: int) -> "SegmentSet":
@@ -70,6 +61,25 @@ class SegmentSet:
         # row h of csum is one longer than a cache, so h * T + t is at h * (T + 1) + t
         csum, shift = csum.ravel(), self.owner
         return csum[self.ends + shift] - csum[self.starts + shift]
+
+
+def check_boundaries(boundaries, heads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The flat boundaries of ``heads`` heads as int64, and their segment
+    lengths: 1-D integers from 0, strictly increasing, to an end that
+    ``heads`` divides. Anything else is rejected."""
+    if heads < 1:
+        raise ContractViolation(f"need at least one head, got {heads}")
+    boundaries = integers(boundaries, "boundaries")
+    if boundaries.ndim != 1 or boundaries.size < 2:
+        raise ContractViolation("need at least [0, T] as boundaries")
+    if boundaries[0] != 0:
+        raise ContractViolation("first boundary must be 0")
+    lengths = boundaries[1:] - boundaries[:-1]
+    if not (lengths > 0).all():
+        raise ContractViolation("boundaries must be strictly increasing")
+    if boundaries[-1] % heads:
+        raise ContractViolation(f"boundaries must split into {heads} heads of equal length")
+    return boundaries, lengths
 
 
 def prefix_sums(m: np.ndarray) -> np.ndarray:
@@ -111,20 +121,24 @@ def cut_points(m: np.ndarray, delta: float, csum: np.ndarray | None = None) -> n
         raise ContractViolation(f"delta must be in (0, 1], got {delta}")
     csum = prefix_sums(m) if csum is None else csum
     _check_prefix_sums(csum, np.shape(m), "mass")
-    total, top = csum.shape[1] - 1, csum[:, -1].max()
+    # a Python float's quotient is inf past the float range, with no warning
+    total, top = csum.shape[1] - 1, float(csum[:, -1].max())
+    if np.min(m) >= 0.0 and top / delta < total:
+        # no negative mass, so every row's prefix sums rise, and fewer
+        # thresholds than positions: a search of each row finds where it
+        # first reaches each fl(j * delta), or T where it never does
+        thresholds = np.arange(1, int(top / delta) + 2) * delta
+        found = np.empty((len(csum), thresholds.size), dtype=np.int64)
+        for h, row in enumerate(csum):
+            found[h] = row[1:].searchsorted(thresholds)
+        cuts = (found + 1 + np.arange(len(csum))[:, None] * total)[found < total]
+        # each row's cuts rise and lie past the row before: repeats are adjacent
+        return np.concatenate((cuts[:1], cuts[1:][cuts[1:] != cuts[:-1]]))
+    # else count the thresholds at or below each prefix sum: the quotient's
+    # floor, moved by one where it rounded across one. Past the float range
+    # the quotient is inf, and its NaN difference is a cut, as thresholds
+    # that dense lie between any two distinct prefix sums.
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.min(m) >= 0.0 and top / delta < total:
-            # no negative mass, so every row's prefix sums rise, and fewer
-            # thresholds than positions: a search of each row finds where it
-            # first reaches each fl(j * delta), or T where it never does
-            thresholds = np.arange(1, int(top / delta) + 2) * delta
-            found = np.stack([np.searchsorted(row[1:], thresholds) for row in csum])
-            cuts = found + 1 + np.arange(len(csum))[:, None] * total
-            return np.unique(cuts[found < total])
-        # else count the thresholds at or below each prefix sum: the quotient's
-        # floor, moved by one where it rounded across one. Past the float range
-        # the quotient is inf, and its NaN difference is a cut, as thresholds
-        # that dense lie between any two distinct prefix sums.
         crossed = np.floor(csum[:, 1:] / delta)
         crossed += (crossed + 1) * delta <= csum[:, 1:]
         crossed -= crossed * delta > csum[:, 1:]
@@ -133,45 +147,51 @@ def cut_points(m: np.ndarray, delta: float, csum: np.ndarray | None = None) -> n
 
 
 def split_long(bounds: np.ndarray, max_len: int) -> np.ndarray:
-    """The flat int64 ``bounds``, laid out as a ``SegmentSet``'s boundaries
-    but not yet checked, with each over-long segment replaced by
-    ceil(L/max_len) near-equal parts, the longer parts first."""
+    """The flat boundaries ``bounds`` (see ``check_boundaries``) with each
+    over-long segment replaced by ceil(L/max_len) near-equal parts, the
+    longer parts first."""
     if max_len < 1:
         raise ContractViolation("max_len must be >= 1")
-    lengths = np.diff(bounds)
+    bounds, lengths = check_boundaries(bounds)
     parts = -(-lengths // max_len)
     base, rem = np.divmod(lengths, parts)
-    owner = np.repeat(np.arange(lengths.size), parts)
-    rank = np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
-    pieces = base[owner] + (rank < rem[owner])
-    return np.concatenate([[0], np.cumsum(pieces)])
+    # part k of a segment from a starts at a + k * base + min(k, rem)
+    owner = np.arange(lengths.size).repeat(parts)
+    k = np.arange(owner.size) - (parts.cumsum() - parts)[owner]
+    starts = bounds[owner] + k * base[owner] + np.minimum(k, rem[owner])
+    return np.concatenate((starts, bounds[-1:]))
 
 
 def merge_short(bounds: np.ndarray, min_len: int, heads: int = 1) -> np.ndarray:
-    """Left-to-right sweep over each of ``heads`` heads of the flat int64
-    ``bounds``, laid out as in ``split_long``, merging under-length
+    """Left-to-right sweep over each of ``heads`` heads of the flat
+    boundaries ``bounds`` (see ``check_boundaries``), merging under-length
     segments into their right neighbor; a head's short final segment
     merges leftward instead. A head's single segment shorter than min_len
     survives as-is when there is nothing to merge with.
     """
     if min_len < 1:
         raise ContractViolation("min_len must be >= 1")
+    bounds, lengths = check_boundaries(bounds, heads)
     total = int(bounds[-1]) // heads
-    out, start = [0], 0
-    for b in bounds[1:].tolist():
-        if b - start >= min_len:
-            out.append(b)
-        elif b % total == 0:
+    # a segment of min_len or more always ends at a kept boundary (unless a
+    # short tail merges into it), so the sweep walks the short segments
+    # alone; start is the index of the last kept boundary
+    keep = np.ones(bounds.size, dtype=bool)
+    b, last, start = bounds.tolist(), -2, 0
+    for i in (lengths < min_len).nonzero()[0].tolist():
+        if i != last + 1:
+            start = i  # a run of short segments starts at a kept boundary
+        last = i
+        if b[i + 1] - b[start] >= min_len:
+            start = i + 1
+        elif b[i + 1] % total == 0:
             # a head's trailing run is too short: it merges leftward into
-            # the head's last emitted segment, if there is one
-            if out[-1] > b - total:
-                out[-1] = b
-            else:
-                out.append(b)
+            # the head's last kept segment, if there is one
+            keep[start] = b[start] <= b[i + 1] - total
+            start = i + 1
         else:
-            continue
-        start = b
-    return np.array(out, dtype=np.int64)
+            keep[i + 1] = False
+    return bounds[keep]
 
 
 def fixed_length_segments(total: int, length: int, heads: int = 1) -> SegmentSet:
@@ -186,16 +206,19 @@ def fixed_length_segments(total: int, length: int, heads: int = 1) -> SegmentSet
 def segment(m: np.ndarray, cfg: CompressionConfig, csum: np.ndarray | None = None) -> SegmentSet:
     """Full segmentation pipeline over every row of [..., T] mass (one row
     per head): cuts, then split, then merge, all on the flat boundaries,
-    which one ``SegmentSet`` checks at the end. ``csum`` is the mass's
+    with one ``SegmentSet`` built at the end. ``csum`` is the mass's
     ``prefix_sums``, if the caller has taken them.
 
     In the fixed-length ablation the mass is ignored and each cache is tiled
     with segments of ``max_seg_len``.
     """
     m = np.asarray(m, dtype=np.float64)
-    total, heads = m.shape[-1], int(np.prod(m.shape[:-1]))
+    total, heads = m.shape[-1], math.prod(m.shape[:-1])
     if cfg.fixed_length_segments_on:
         return fixed_length_segments(total, cfg.max_seg_len, heads)
-    bounds = np.union1d(cut_points(m, cfg.segment_mass, csum), np.arange(heads + 1) * total)
-    bounds = merge_short(split_long(bounds, cfg.max_seg_len), cfg.min_seg_len, heads)
-    return SegmentSet(bounds, heads)
+    # the cuts and every head's ends, marked once each and read back in order
+    marks = np.zeros(heads * total + 1, dtype=bool)
+    marks[cut_points(m, cfg.segment_mass, csum)] = True
+    marks[::total] = True
+    bounds = split_long(marks.nonzero()[0], cfg.max_seg_len)
+    return SegmentSet(merge_short(bounds, cfg.min_seg_len, heads), heads)

@@ -25,7 +25,7 @@ from masskv.segmentation import SegmentSet, check_tiling, fixed_length_segments
 def _best_n(g: np.ndarray, cand: np.ndarray, n) -> np.ndarray:
     """Mask of the ``n`` best ``cand`` positions of each row of the [..., T]
     scores, best meaning descending score, NaN last and ties to the lower
-    index. ``n`` is one count or one per row, at most the row's candidates.
+    index. ``n`` holds one count per row, at most the row's candidates.
 
     Only the boundary needs an order. A partition finds each row's n-th
     key; every key better than it goes in, and the keys equal to it fill
@@ -33,31 +33,37 @@ def _best_n(g: np.ndarray, cand: np.ndarray, n) -> np.ndarray:
     no real score, ±inf included, can tie with them; only candidate NaNs
     count as ties at a NaN boundary.
     """
-    key = np.where(cand, -g, np.nan)
-    shape = key.shape
-    key = key.reshape(-1, shape[-1])
-    n = np.broadcast_to(n, shape[:-1]).reshape(-1, 1)
+    shape = g.shape
+    g, cand = g.reshape(-1, shape[-1]), cand.reshape(-1, shape[-1])
+    n = np.asarray(n).reshape(-1, 1)
     top = n.max()
-    # a row that takes none keeps edge -inf: no key is better, and every tie is cut
-    edge = np.full(n.shape, -np.inf, dtype=key.dtype)
+    # a row that takes none keeps edge +inf: no score is better, and every tie is cut
+    edge = np.inf
     if top > 0:
-        # a row's n-th key is the top-th of the row padded with top - n keys
-        # of -inf, none greater than a key, then NaNs, none less: one kth
-        # for all rows keeps NumPy on its fast selection path
-        fill = np.where(np.arange(top - n.min()) < top - n, -np.inf, np.nan)
-        padded = np.concatenate([key, fill.astype(key.dtype)], axis=-1)
-        padded.partition(top - 1, axis=-1)
-        edge = padded[:, top - 1 : top]
-    better, ties = key < edge, key == edge
+        # the keys -g, NaN off the candidates, with each row padded by top - n
+        # keys of -inf, none greater than a key, then NaNs, none less: a row's
+        # n-th key is its top-th, and one kth for all rows keeps NumPy on its
+        # fast selection path
+        pad = np.arange(top - n.min()) < top - n
+        keys = np.empty((len(g), shape[-1] + pad.shape[1]), dtype=g.dtype)
+        np.negative(g, out=keys[:, : shape[-1]])
+        np.copyto(keys[:, : shape[-1]], np.nan, where=~cand)
+        keys[:, shape[-1] :] = np.where(pad, -np.inf, np.nan)
+        keys.partition(top - 1, axis=-1)
+        edge = -keys[:, top - 1 : top]
+    # every candidate at or better than its row's n-th key: exactly n of
+    # them, unless the keys equal to it are more than the places they fill
+    picked = cand & (g >= edge)
     at_nan = np.isnan(edge)
     if at_nan.any():
-        real = ~np.isnan(key)
-        better |= at_nan & real
-        ties |= at_nan & ~real & cand.reshape(key.shape)
-    need = n - better.sum(axis=-1, keepdims=True)
-    if (ties.sum(axis=-1, keepdims=True) > need).any():
-        ties &= np.cumsum(ties, axis=-1) <= need
-    return (better | ties).reshape(shape)
+        # at a NaN n-th key, every scored candidate is better and NaNs tie
+        picked |= at_nan & cand
+    over = picked.sum(axis=-1, keepdims=True) - n
+    if (over > 0).any():
+        # the highest-index ties give up their places
+        ties = picked & ((g == edge) | (at_nan & np.isnan(g)))
+        picked &= ~ties | (np.cumsum(ties, axis=-1) <= ties.sum(axis=-1, keepdims=True) - over)
+    return picked.reshape(shape)
 
 
 def _fit_to_budget(mask: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: int) -> np.ndarray:
@@ -70,9 +76,12 @@ def _fit_to_budget(mask: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: in
     must = integers(must, "must-keep positions")
     if must.size > target:
         raise ContractViolation("must-keep set exceeds the budget; reconcile it first")
-    if must.size and (np.diff(must) < 0).any():  # the engine's sets are sorted: O(|must|)
+    # the engine's sets rise already: the check is O(|must|), the sort rare
+    rising = must.size < 2 or (must[1:] > must[:-1]).all()
+    if not rising:
         must = np.sort(must)
-    if must.size and not (0 <= must[0] and must[-1] < total and (np.diff(must) > 0).all()):
+        rising = (must[1:] > must[:-1]).all()
+    if must.size and not (rising and 0 <= must[0] and must[-1] < total):
         raise ContractViolation(f"must-keep positions must be distinct and in [0, {total})")
     mask[..., must] = True
     excess = mask.sum(axis=-1) - target
@@ -83,7 +92,12 @@ def _fit_to_budget(mask: np.ndarray, must: np.ndarray, g: np.ndarray, t_keep: in
         mask[..., must] = True
     if (excess < 0).any():
         mask |= _best_n(g, ~mask, np.maximum(-excess, 0))
-    return np.flatnonzero(mask).reshape(mask.shape[:-1] + (target,)) % total
+    # one nonzero per row gives its positions in its own cache
+    rows = mask.reshape(-1, total)
+    keep = np.empty((len(rows), target), dtype=np.int64)
+    for row, out in zip(rows, keep):
+        out[:] = row.nonzero()[0]
+    return keep.reshape(mask.shape[:-1] + (target,))
 
 
 def _segment_picks(g: np.ndarray, segs: SegmentSet, quotas: np.ndarray) -> np.ndarray:
@@ -91,20 +105,22 @@ def _segment_picks(g: np.ndarray, segs: SegmentSet, quotas: np.ndarray) -> np.nd
     scores, whose rows laid end to end ``segs`` tiles. A segment whose
     quota is its length is kept whole. The rest are picked in padded
     [segments, width] windows, one per bit length of their lengths and as
-    wide as its longest member, so padding stays under 2x for any layout.
+    wide as its longest member, so padding stays under 2x for any layout;
+    each such segment starts whole and drops the positions it did not pick.
     """
     starts, lengths = segs.starts, segs.lengths
-    mask = np.repeat(quotas == lengths, lengths)
+    mask = (quotas > 0).repeat(lengths)
     flat = g.reshape(-1)
-    part = np.flatnonzero((quotas > 0) & (quotas < lengths))
+    part = ((quotas > 0) & (quotas < lengths)).nonzero()[0]
     bits = np.frexp(lengths[part])[1]
-    for b in np.unique(bits):
+    for b in np.bincount(bits).nonzero()[0]:
         seg = part[bits == b]
         width = np.arange(lengths[seg].max())
         cols = starts[seg, None] + width
         # the overhang past a segment's end is no candidate
-        best = _best_n(flat.take(cols, mode="clip"), width < lengths[seg, None], quotas[seg])
-        mask[cols[best]] = True
+        inside = width < lengths[seg, None]
+        best = _best_n(flat.take(cols, mode="clip"), inside, quotas[seg])
+        mask[cols[inside ^ best]] = False
     return mask.reshape(g.shape)
 
 

@@ -134,6 +134,30 @@ def test_allocation_takes_integers_of_any_width():
     assert MustKeepSet([], []).indices.tolist() == [] and largest_remainder([], 0).size == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grouped_apportionment_equals_each_group_alone(data):
+    # the cap rounds serve every group at once, yet each group must get, bit
+    # for bit, the shares it gets apportioned alone: empty groups, zero,
+    # flat and huge or tiny weights, zero caps and several rounds included
+    weights, caps, totals, bounds = [], [], [], [0]
+    for _ in range(data.draw(st.integers(1, 6))):
+        size = data.draw(st.integers(0, 8))
+        scale = data.draw(st.sampled_from([0.0, 1.0, 1e-300, 1e300]))
+        if data.draw(st.booleans()):
+            weights += [scale] * size
+        else:
+            weights += [scale * data.draw(st.floats(0.0, 1.0)) for _ in range(size)]
+        group_caps = [data.draw(st.integers(0, 6)) for _ in range(size)]
+        caps += group_caps
+        totals.append(data.draw(st.integers(0, sum(group_caps))))
+        bounds.append(bounds[-1] + size)
+    weights, caps = np.array(weights, dtype=np.float64), np.array(caps, dtype=np.int64)
+    grouped = apportion_with_caps(weights, totals, caps, bounds)
+    for a, b, total in zip(bounds[:-1], bounds[1:], totals):
+        assert grouped[a:b].tolist() == apportion_with_caps(weights[a:b], total, caps[a:b]).tolist()
+
+
 def test_compute_quotas_hand_case():
     cfg = default_config()
     segs = _segset([4, 2, 2])

@@ -125,6 +125,27 @@ def test_an_ams_event_builds_one_segment_set(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("policy", ["ams", "fixed_chunk", "global_topk"])
+def test_no_event_calls_a_set_operation(monkeypatch, policy):
+    # every boundary, cut and pick is found in sorted order by search,
+    # marks or partitions; a set operation would sort again, and NumPy's
+    # np.unique imports numpy.ma on its first call
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set operation ran in an event")
+
+    for name in ("unique", "union1d", "intersect1d", "setdiff1d", "isin"):
+        monkeypatch.setattr(np, name, refuse)
+    heads, total, w = 3, 120, 8
+    rows = _rows(np.random.default_rng(5), "random", heads, w, total, np.float64)
+    usage = UsageAccumulator()
+    for j in range(w):
+        usage.add(rows[:, j, : total - w + 1 + j])
+    cfg = default_config().replace(t_keep=40, min_seg_len=4, max_seg_len=16)
+    credit = EmaCreditStore(cfg.ema_decay, cfg.mass_mix, heads, total)
+    keep = compress_event(policy, heads, total, usage, None, cfg, credit=credit)[0]
+    assert keep.shape == (heads, 40)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_baseline_events_match_the_per_head_oracles(data):

@@ -63,17 +63,20 @@ def test_cut_points_tiny_delta_cuts_every_position(delta):
     assert cut_points(m[0], delta).tolist() == list(range(1, 51))
 
 
-def _cut_forms(monkeypatch):
-    """A list that gets one entry per cut_points call that searched the
-    thresholds; a call that counted them adds none."""
-    searched, search = [], np.searchsorted
+def _cut_forms(m, delta):
+    """cut_points's cuts of ``m``, and whether it searched the thresholds.
+    It is handed prefix sums whose rows log each call to their
+    ``searchsorted`` method, which the search form calls once per row,
+    as a method or through ``np.searchsorted``; the count form calls none."""
+    searched = []
 
-    def spy(*args, **kwargs):
-        searched.append(1)
-        return search(*args, **kwargs)
+    class Spy(np.ndarray):
+        def searchsorted(self, *args, **kwargs):
+            searched.append(1)
+            return np.asarray(self).searchsorted(*args, **kwargs)
 
-    monkeypatch.setattr(np, "searchsorted", spy)
-    return searched
+    cuts = cut_points(m, delta, prefix_sums(m).view(Spy))
+    return cuts, bool(searched)
 
 
 @pytest.mark.parametrize(
@@ -87,12 +90,11 @@ def _cut_forms(monkeypatch):
         ([[0.5, 0.5], [0.1, 0.1]], 0.6, True),  # rows of different totals
     ],
 )
-def test_cut_points_form_follows_the_threshold_count(monkeypatch, m, delta, searched):
+def test_cut_points_form_follows_the_threshold_count(m, delta, searched):
     # the thresholds are searched while they are fewer than the positions
     # and every row rises; otherwise they are counted
-    forms = _cut_forms(monkeypatch)
-    cuts = cut_points(np.array(m), delta)
-    assert bool(forms) == searched
+    cuts, form = _cut_forms(np.array(m), delta)
+    assert form == searched
     rows = np.atleast_2d(m)
     t = rows.shape[1]
     if (rows >= 0).all():
@@ -150,6 +152,32 @@ def test_merge_short_identity_and_exhaustion():
 
 def test_merge_short_final_leftward():
     assert merge_short(_bounds(0, 20, 22), 4).tolist() == [0, 22]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: split_long(_bounds(5, 10), 4),
+        lambda: split_long(_bounds(0, 3, 2, 9), 4),
+        lambda: split_long(_bounds(0, 4, 4, 8), 4),
+        lambda: split_long(np.array([0.0, 2.5, 8.0]), 4),
+        lambda: split_long(_bounds(0, 4, 8).reshape(1, 3), 4),
+        lambda: split_long(_bounds(0), 4),
+        lambda: merge_short(_bounds(0, 4, 24), 4, heads=0),
+        lambda: merge_short(_bounds(5, 10), 4),
+        lambda: merge_short(_bounds(0, 3, 2, 9), 4),
+        lambda: merge_short(_bounds(0, 4, 10), 4, heads=3),
+        lambda: merge_short(np.array([0, 4.5, 9.0]), 4, heads=3),
+    ],
+    ids=["split-not-from-0", "split-falling", "split-repeat", "split-float", "split-2d",
+         "split-one-boundary", "merge-no-heads", "merge-not-from-0", "merge-falling",
+         "merge-heads-do-not-divide", "merge-float"],
+)
+def test_split_and_merge_reject_malformed_boundaries(call):
+    # one rule, shared with SegmentSet: 1-D integers from 0, strictly
+    # increasing, to an end that heads >= 1 divides
+    with pytest.raises(ContractViolation):
+        call()
 
 
 def _pairs(bounds):

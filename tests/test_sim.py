@@ -803,6 +803,8 @@ GOLDEN_CONFIGS = {
     "edge": CFG.replace(t_keep=24, n_sink=24, min_quota=0, ema_on=False, window=40, interval=16),
     "ablation": CFG.replace(fixed_length_segments_on=True, mass_weighted_quotas_on=False),
     "interval_1": CFG.replace(interval=1),
+    # every AMS event splits segments (max_seg_len < T) and some take three cap rounds
+    "split": CFG.replace(t_keep=96, min_seg_len=2, max_seg_len=16, segment_mass=0.25),
 }
 
 # sha256 over the JSON and CSV files of every policy x {expected, recent} run
@@ -821,6 +823,9 @@ GOLDEN_DIGESTS = {
     "interval_1/uniform": "d5560798828575d24e3f163cdd72dcce33ac4d1534563e46f669dd6dfa933fbf",
     "interval_1/heavy_hitter": "8ff23e83143a83e8b891e0d91c15208798f75650aa70dae3c89bd09f80c54729",
     "interval_1/low_region_adversarial": "30bf17ee13fb2f02de1c674af65d78300218cc31617a900e58aca57e7819365a",
+    "split/uniform": "11898c9d6462c4bb123bba76bcc26089168150d270b98d6be4d6f7a6c2ec2f8a",
+    "split/heavy_hitter": "ea956ab6b70c16a49618873ea1710a13b6ebf5589bb7d161468efd4ece69b116",
+    "split/low_region_adversarial": "a606fb2ab74f0f3f8927f0020de16aed7d0fdd8ba94501e743eca33eeb4f919e",
 }
 
 
